@@ -48,18 +48,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks_of_size(mask: int, size: int) -> list[int]:
-    """All sub-bitmasks of `mask` with exactly `size` set bits."""
-    bits = list(iter_bits(mask))
-    out = []
-    for combo in combinations(bits, size):
-        sub = 0
-        for b in combo:
-            sub |= b
-        out.append(sub)
-    return out
-
-
 def nonempty_submasks(mask: int) -> list[int]:
     """All nonempty sub-bitmasks of `mask` (including `mask` itself)."""
     bits = list(iter_bits(mask))

@@ -196,7 +196,6 @@ def _cmd_search(args) -> int:
         node_budget=args.budget,
         checkpoint_path=args.checkpoint,
         resume_from=args.resume,
-        jobs=args.jobs,
     )
     if args.output:
         report.write_dir(args.output)
@@ -233,7 +232,7 @@ def _cmd_verify_lemma(args) -> int:
             file=sys.stderr,
         )
         return 2
-    result = run_check(check_id, jobs=args.jobs)
+    result = run_check(check_id)
     verdict = "PASS" if result.passed else "FAIL"
     _emit(
         args,
@@ -319,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("search-complementary", _cmd_search, help="complementary weak pseudomanifold search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=10**9, help="total node budget (raise it when resuming)")
     p.add_argument("--checkpoint", help="state file to write every 10^7 nodes")
     p.add_argument("--resume", help="state file from an interrupted run")
@@ -328,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify-lemma", _cmd_verify_lemma, help="run a named verification check")
     p.add_argument("id", help=" | ".join(sorted(REGISTRY)))
     p.add_argument("--tier", choices=["fast", "long"], default="fast")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("collapse", _cmd_collapse, help="find or replay a collapse trace")
     p.add_argument("file")

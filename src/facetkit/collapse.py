@@ -2,7 +2,9 @@
 
 The collapsibility search is exhaustive over free-face choices with
 memoization on the exact remaining face set, so "not collapsible" is a
-definitive verdict, not a search failure.  Candidate pairs are tried in a
+definitive verdict, not a search failure.  It is an iterative depth-first
+search over one mutable face set, so its depth is bounded by memory, not by
+the interpreter's recursion limit.  Candidate pairs are tried in a
 fixed order (free-face dimension descending, then bit order) so traces are
 deterministic.
 """
@@ -53,19 +55,30 @@ def parse_trace(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return steps
 
 
-def _free_pairs(faces: frozenset[int]) -> list[tuple[int, int]]:
+def _free_pairs(faces: set[int] | frozenset[int]) -> list[tuple[int, int]]:
+    """(free_face, coface) pairs of a downward-closed face set, sorted.
+
+    In a downward-closed set every proper superset of tau contains some
+    tau | v, so tau has exactly one proper superset iff exactly one tau | v
+    is a face; testing those is O(n) per face instead of O(F).
+    """
+    vmask = 0
+    for f in faces:
+        vmask |= f
     pairs = []
     for tau in faces:
         container = 0
-        count = 0
-        for other in faces:
-            if other != tau and other & tau == tau:
-                count += 1
-                if count > 1:
+        rest = vmask & ~tau
+        while rest:
+            low = rest & -rest
+            if tau | low in faces:
+                if container:
                     break
-                container = other
-        if count == 1:
-            pairs.append((tau, container))
+                container = tau | low
+            rest ^= low
+        else:
+            if container:
+                pairs.append((tau, container))
     pairs.sort(key=lambda p: (-p[0].bit_count(), p[0], p[1]))
     return pairs
 
@@ -102,7 +115,7 @@ def collapse_step(complex_: Complex, tau, sigma) -> Complex:
     return _complex_from_faces(faces - {tmask, smask})
 
 
-def _is_point(faces: frozenset[int]) -> bool:
+def _is_point(faces: set[int] | frozenset[int]) -> bool:
     return len(faces) == 1 and next(iter(faces)).bit_count() == 1
 
 
@@ -112,25 +125,33 @@ def is_collapsible(complex_: Complex) -> CollapseTrace | None:
     # euler characteristic is invariant; a point has euler characteristic 1
     if complex_.face_profile().euler != 1:
         return None
-    dead: set[frozenset[int]] = set()
-
-    def search(faces: frozenset[int]) -> list[tuple[int, int]] | None:
-        if _is_point(faces):
-            return []
-        if faces in dead:
-            return None
-        for tau, sigma in _free_pairs(faces):
-            rest = search(faces - {tau, sigma})
-            if rest is not None:
-                return [(tau, sigma)] + rest
-        dead.add(faces)
-        return None
-
-    steps = search(complex_.face_masks())
-    if steps is None:
-        return None
-    residue_faces = complex_.face_masks() - {m for pair in steps for m in pair}
-    return CollapseTrace(tuple(steps), _complex_from_faces(residue_faces))
+    faces = set(complex_.face_masks())
+    dead: set[frozenset[int]] = set()  # face sets that cannot reach a point
+    steps: list[tuple[int, int]] = []
+    # one frame per state on the path: [its free pairs, index of the next to
+    # try]; the top frame is the current state's, so len(steps) == len(frames) - 1
+    frames: list[list] = []
+    while not _is_point(faces):
+        known_dead = dead and frozenset(faces) in dead
+        frames.append([() if known_dead else _free_pairs(faces), 0])
+        while True:
+            frame = frames[-1]
+            pairs, i = frame
+            if i < len(pairs):
+                frame[1] = i + 1
+                tau, sigma = pairs[i]
+                faces.remove(tau)
+                faces.remove(sigma)
+                steps.append((tau, sigma))
+                break
+            dead.add(frozenset(faces))
+            frames.pop()
+            if not frames:
+                return None
+            tau, sigma = steps.pop()
+            faces.add(tau)
+            faces.add(sigma)
+    return CollapseTrace(tuple(steps), _complex_from_faces(frozenset(faces)))
 
 
 def replay_trace(complex_: Complex, steps) -> Complex:

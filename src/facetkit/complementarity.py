@@ -139,10 +139,12 @@ def forced_profile(n: int, d: int) -> FaceProfile:
     """The unique f-vector any n-vertex d-dimensional complementary weak
     pseudomanifold must have.
 
-    Solved exactly from: sets of <= n-d-2 vertices are all faces, sets of
-    >= d+2 vertices are none, complementary size pairs split each binomial
-    count, and the closed-pseudomanifold double count (d+1)*f_d = 2*f_{d-1}.
-    Raises if the system is inconsistent or leaves a face size free.
+    Solved exactly from: every vertex is a face (f_0 = n), sets of <= n-d-2
+    vertices are all faces, sets of >= d+2 vertices are none, complementary
+    size pairs split each binomial count, and the closed-pseudomanifold double
+    count (d+1)*f_d = 2*f_{d-1}.
+    Raises if the system is inconsistent, pins f_d to 0, or leaves a face
+    size free.
     """
     if d < 1 or n < d + 2:
         raise ValueError("need d >= 1 and n >= d+2")
@@ -157,7 +159,7 @@ def forced_profile(n: int, d: int) -> FaceProfile:
         rows.append(r)
 
     for s in sizes:
-        if s <= n - d - 2:
+        if s <= n - d - 2 or s == 1:
             row({s: 1}, comb(n, s))
     for s in sizes:
         t = n - s
@@ -202,6 +204,11 @@ def forced_profile(n: int, d: int) -> FaceProfile:
                 f"f_{c} = {value} is not a nonnegative integer"
             )
         counts.append(int(value))
+    if counts[d] == 0:
+        raise ValueError(
+            f"no consistent face counts exist for (n={n}, d={d}): f_{d} = 0, "
+            f"so no complex of dimension {d} fits"
+        )
     return FaceProfile(tuple(counts))
 
 

@@ -295,8 +295,8 @@ def _run_u5wpm(**_) -> LemmaResult:
     )
 
 
-def _run_rp26(*, jobs: int = 1, **_) -> LemmaResult:
-    report = search_complementary(6, 2, jobs=jobs)
+def _run_rp26(**_) -> LemmaResult:
+    report = search_complementary(6, 2)
     checks = {"complete": report.complete, "one_class": report.class_count == 1}
     if report.class_count == 1:
         k = report.class_complexes()[0]
@@ -343,8 +343,8 @@ def _run_e1(**_) -> LemmaResult:
     return _result("E1", ok, lines, {k2: bool(v) for k2, v in checks.items()})
 
 
-def _run_cp29(*, jobs: int = 1, node_budget: int = 10**9, **_) -> LemmaResult:
-    report = search_complementary(9, 4, jobs=jobs, node_budget=node_budget)
+def _run_cp29(*, node_budget: int = 10**9, **_) -> LemmaResult:
+    report = search_complementary(9, 4, node_budget=node_budget)
     if not report.complete:
         return _result(
             "CP29",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .enumeration import EnumerationReport
 UNKNOWN, FACE, NONFACE = 0, 1, 2
 _BRANCH_VALUES = (FACE, NONFACE)
 STATE_VERSION = 1
+CHECKPOINT_INTERVAL = 10**7  # nodes between checkpoint writes
 
 
 class PairLedger:
@@ -252,7 +252,6 @@ def _run_dfs(
     prefix: list[tuple[int, int]],
     node_budget: int | None,
     checkpoint_path=None,
-    checkpoint_interval: int = 10**7,
     resume_state: dict | None = None,
 ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Returns (labeled solutions as facet tuples, nodes, complete)."""
@@ -328,7 +327,7 @@ def _run_dfs(
             if ledger.assign(frame.mask, value):
                 consistent = True
                 advanced = True
-                if checkpoint_path is not None and nodes % checkpoint_interval == 0:
+                if checkpoint_path is not None and nodes % CHECKPOINT_INTERVAL == 0:
                     write_checkpoint(checkpoint_path, suspended=False)
                 break
         if not advanced:
@@ -345,48 +344,14 @@ def _dedupe(solutions: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(classes))
 
 
-def _expand_prefixes(n: int, d: int, prefix, depth: int) -> list[list[tuple[int, int]]]:
-    """Consistent decision paths of the given depth under the deterministic
-    selector; used to split the tree across worker processes."""
-    ledger = PairLedger(n, d)
-    for mask, value in prefix:
-        if not ledger.assign(mask, value):
-            return []
-    out: list[list[tuple[int, int]]] = []
-
-    def grow(level: int, path: list[tuple[int, int]]):
-        if level == depth:
-            out.append(list(prefix) + path)
-            return
-        target = ledger.select_branch()
-        if target is None:
-            out.append(list(prefix) + path)  # subtree already at a leaf
-            return
-        for value in _BRANCH_VALUES:
-            mark = ledger.mark()
-            if ledger.assign(target, value):
-                grow(level + 1, path + [(target, value)])
-            ledger.undo_to(mark)
-
-    grow(0, [])
-    return out
-
-
-def _search_worker(args) -> tuple[list[tuple[int, ...]], int, bool]:
-    n, d, prefix, budget = args
-    return _run_dfs(n, d, prefix=[tuple(p) for p in prefix], node_budget=budget)
-
-
 def search_complementary(
     n: int,
     d: int,
     *,
     node_budget: int = 10**9,
     checkpoint_path=None,
-    checkpoint_interval: int = 10**7,
     resume_from=None,
     symmetry_breaking: bool = True,
-    jobs: int = 1,
 ) -> EnumerationReport:
     """All isomorphism classes of n-vertex d-dimensional complementary weak
     pseudomanifolds, with a completeness flag.
@@ -408,45 +373,20 @@ def search_complementary(
         )
     start = time.perf_counter()
     prefix = _symmetry_prefix(n, d) if symmetry_breaking else []
+    state = None
     if resume_from is not None:
-        if jobs != 1:
-            raise ValueError("resume is single-process; drop --jobs")
         state = json.loads(Path(resume_from).read_text())
         if state.get("version") != STATE_VERSION or (state["n"], state["d"]) != (n, d):
             raise ValueError("resume state does not match this search")
         prefix = [tuple(p) for p in state["prefix"]]
-        solutions, nodes, complete = _run_dfs(
-            n,
-            d,
-            prefix=prefix,
-            node_budget=node_budget,
-            checkpoint_path=checkpoint_path,
-            checkpoint_interval=checkpoint_interval,
-            resume_state=state,
-        )
-    elif jobs > 1:
-        depth = max(1, (jobs - 1).bit_length())
-        prefixes = _expand_prefixes(n, d, prefix, depth)
-        if not prefixes:
-            solutions, nodes, complete = [], 0, True
-        else:
-            share = max(1, node_budget // len(prefixes))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(_search_worker, [(n, d, p, share) for p in prefixes])
-                )
-            solutions = [s for sols, _, _ in results for s in sols]
-            nodes = sum(r[1] for r in results) + len(prefixes) * depth
-            complete = all(r[2] for r in results)
-    else:
-        solutions, nodes, complete = _run_dfs(
-            n,
-            d,
-            prefix=prefix,
-            node_budget=node_budget,
-            checkpoint_path=checkpoint_path,
-            checkpoint_interval=checkpoint_interval,
-        )
+    solutions, nodes, complete = _run_dfs(
+        n,
+        d,
+        prefix=prefix,
+        node_budget=node_budget,
+        checkpoint_path=checkpoint_path,
+        resume_state=state,
+    )
     return EnumerationReport(
         parameters={
             "n": n,
@@ -454,7 +394,6 @@ def search_complementary(
             "kind": "complementary_weak_pseudomanifolds",
             "symmetry_breaking": symmetry_breaking,
             "node_budget": node_budget,
-            "jobs": jobs,
         },
         classes=_dedupe(solutions),
         labeled_count=len(solutions),

@@ -9,6 +9,7 @@ from facetkit import (
     collapse_step,
     cycle,
     cyclic_complementary_complex,
+    enumerate_complexes,
     free_faces,
     homology,
     is_acyclic,
@@ -17,7 +18,76 @@ from facetkit import (
     standard_sphere,
 )
 from facetkit.bits import vertices_of
-from facetkit.collapse import parse_trace
+from facetkit.collapse import _free_pairs, parse_trace
+
+
+# -- oracle: the original recursive search over an O(F^2) free-pair scan ------
+
+
+def oracle_free_pairs(faces):
+    pairs = []
+    for tau in faces:
+        container = 0
+        count = 0
+        for other in faces:
+            if other != tau and other & tau == tau:
+                count += 1
+                if count > 1:
+                    break
+                container = other
+        if count == 1:
+            pairs.append((tau, container))
+    pairs.sort(key=lambda p: (-p[0].bit_count(), p[0], p[1]))
+    return pairs
+
+
+def oracle_collapse_steps(complex_):
+    """The collapse steps to a point, or None; recursion depth is one per step."""
+    if complex_.face_profile().euler != 1:
+        return None
+    dead = set()
+
+    def search(faces):
+        if len(faces) == 1 and next(iter(faces)).bit_count() == 1:
+            return []
+        if faces in dead:
+            return None
+        for tau, sigma in oracle_free_pairs(faces):
+            rest = search(faces - {tau, sigma})
+            if rest is not None:
+                return [(tau, sigma)] + rest
+        dead.add(faces)
+        return None
+
+    return search(complex_.face_masks())
+
+
+def _steps(trace):
+    return None if trace is None else list(trace.steps)
+
+
+def test_matches_oracle_on_small_classes():
+    count = 0
+    for m in range(1, 6):
+        for k in enumerate_complexes(m).class_complexes():
+            faces = k.face_masks()
+            assert _free_pairs(faces) == oracle_free_pairs(faces), k.facets
+            assert _steps(is_collapsible(k)) == oracle_collapse_steps(k), k.facets
+            count += 1
+    assert count == 208
+
+
+def test_matches_oracle_on_simplices():
+    for n in range(1, 10):
+        k = build([list(range(n))])
+        assert _free_pairs(k.face_masks()) == oracle_free_pairs(k.face_masks())
+        assert _steps(is_collapsible(k)) == oracle_collapse_steps(k)
+
+
+def test_eleven_vertex_simplex_collapses_without_recursion():
+    trace = is_collapsible(build([list(range(11))]))
+    assert trace is not None and trace.is_point
+    assert len(trace.steps) == 2**10 - 1
 
 
 def test_free_faces_full_triangle():

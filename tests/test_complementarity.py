@@ -67,6 +67,10 @@ def test_forced_profile_inconsistent():
         forced_profile(7, 2)  # all faces forced, double counting fails
     with pytest.raises(ValueError):
         forced_profile(11, 5)  # non-integral facet count
+    with pytest.raises(ValueError):
+        forced_profile(4, 2)  # f_0 = 4 forces f_2 = 0, so f_1 = 0 against 2 f_1 = 6
+    with pytest.raises(ValueError):
+        forced_profile(5, 3)  # f_0 = 5 pins f_3 = 0: no 3-dimensional complex
 
 
 def test_forced_profile_underdetermined_names_dimension():

@@ -85,10 +85,3 @@ def test_resume_rejects_mismatched_state(tmp_path):
     with pytest.raises(ValueError):
         search_complementary(7, 3, resume_from=state)
 
-
-def test_parallel_matches_sequential():
-    sequential = search_complementary(6, 2)
-    parallel = search_complementary(6, 2, jobs=2)
-    assert parallel.complete
-    assert parallel.classes == sequential.classes
-    assert parallel.labeled_count == sequential.labeled_count
