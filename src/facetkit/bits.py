@@ -7,7 +7,6 @@ machine operations.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_LABELS = 64
@@ -49,13 +48,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def nonempty_submasks(mask: int) -> list[int]:
-    """All nonempty sub-bitmasks of `mask` (including `mask` itself)."""
-    bits = list(iter_bits(mask))
+    """All nonempty sub-bitmasks of `mask` (including `mask` itself), descending."""
     out = []
-    for r in range(1, len(bits) + 1):
-        for combo in combinations(bits, r):
-            sub = 0
-            for b in combo:
-                sub |= b
-            out.append(sub)
+    sub = mask
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
     return out

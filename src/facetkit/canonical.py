@@ -110,11 +110,7 @@ def canonical_form(complex_: Complex) -> tuple[int, ...]:
 
 def canonical_complex(complex_: Complex) -> Complex:
     """The canonical representative itself, as a complex on labels 0..n-1."""
-    masks = canonical_form(complex_)
-    vmask = 0
-    for m in masks:
-        vmask |= m
-    return Complex(masks, vmask)
+    return Complex.from_masks(canonical_form(complex_))
 
 
 def verify_isomorphism(left: Complex, right: Complex, mapping: dict[int, int]) -> bool:
@@ -148,8 +144,4 @@ def is_isomorphic(left: Complex, right: Complex) -> IsoCertificate | None:
 def relabel(complex_: Complex, mapping: dict[int, int]) -> Complex:
     """Apply a vertex bijection to a complex."""
     cert = IsoCertificate(dict(mapping))
-    masks = tuple(sorted(cert.apply_mask(m) for m in complex_.facet_masks))
-    vmask = 0
-    for m in masks:
-        vmask |= m
-    return Complex(masks, vmask)
+    return Complex.from_masks(cert.apply_mask(m) for m in complex_.facet_masks)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .bits import vertices_of
 from .atlas import (
@@ -18,7 +19,7 @@ from .atlas import (
     projective_plane_6,
     standard_sphere,
 )
-from .collapse import is_collapsible, parse_trace, replay_trace
+from .collapse import is_collapsible, is_point, parse_trace, replay_trace
 from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex
 from .complementarity import is_complementary
 from .enumeration import enumerate_complexes, enumerate_weak_pseudomanifolds
@@ -245,17 +246,17 @@ def _cmd_verify_lemma(args) -> int:
 def _cmd_collapse(args) -> int:
     complex_ = load_complex(args.file)
     if args.replay:
-        steps = parse_trace(open(args.replay).read())
+        steps = parse_trace(Path(args.replay).read_text())
         try:
             residue = replay_trace(complex_, steps)
         except ValueError as exc:
             print(f"trace invalid: {exc}", file=sys.stderr)
             return 1
-        is_point = len(residue.facet_masks) == 1 and residue.facet_masks[0].bit_count() == 1
+        point = is_point(residue.facet_masks)
         _emit(
             args,
-            {"valid": True, "residue_facets": [list(f) for f in residue.facets], "point": is_point},
-            [f"trace valid; residue {'is a point' if is_point else residue.facets}"],
+            {"valid": True, "residue_facets": [list(f) for f in residue.facets], "point": point},
+            [f"trace valid; residue {'is a point' if point else residue.facets}"],
         )
         return 0
     trace = is_collapsible(complex_)

@@ -12,6 +12,9 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
+from typing import Collection
 
 from .bits import mask_from, vertices_of
 from .complexes import Complex
@@ -26,10 +29,7 @@ class CollapseTrace:
 
     @property
     def is_point(self) -> bool:
-        return (
-            len(self.residue.facet_masks) == 1
-            and self.residue.facet_masks[0].bit_count() == 1
-        )
+        return is_point(self.residue.facet_masks)
 
     def render(self) -> str:
         lines = []
@@ -55,6 +55,12 @@ def parse_trace(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return steps
 
 
+def is_point(masks: Collection[int]) -> bool:
+    """True iff `masks` is one single-vertex mask: the face set of a point,
+    and equally its facet list."""
+    return len(masks) == 1 and next(iter(masks)).bit_count() == 1
+
+
 def _free_pairs(faces: set[int] | frozenset[int]) -> list[tuple[int, int]]:
     """(free_face, coface) pairs of a downward-closed face set, sorted.
 
@@ -62,13 +68,11 @@ def _free_pairs(faces: set[int] | frozenset[int]) -> list[tuple[int, int]]:
     tau | v, so tau has exactly one proper superset iff exactly one tau | v
     is a face; testing those is O(n) per face instead of O(F).
     """
-    vmask = 0
-    for f in faces:
-        vmask |= f
+    vertex_mask = reduce(or_, faces, 0)
     pairs = []
     for tau in faces:
         container = 0
-        rest = vmask & ~tau
+        rest = vertex_mask & ~tau
         while rest:
             low = rest & -rest
             if tau | low in faces:
@@ -81,14 +85,6 @@ def _free_pairs(faces: set[int] | frozenset[int]) -> list[tuple[int, int]]:
                 pairs.append((tau, container))
     pairs.sort(key=lambda p: (-p[0].bit_count(), p[0], p[1]))
     return pairs
-
-
-def _complex_from_faces(faces: frozenset[int]) -> Complex:
-    maximal = [f for f in faces if not any(g != f and g & f == f for g in faces)]
-    vmask = 0
-    for f in maximal:
-        vmask |= f
-    return Complex(tuple(sorted(maximal)), vmask)
 
 
 def free_faces(complex_: Complex) -> list[tuple[int, int]]:
@@ -112,11 +108,7 @@ def collapse_step(complex_: Complex, tau, sigma) -> Complex:
     faces = complex_.face_masks()
     if (tmask, smask) not in _free_pairs(faces):
         raise ValueError("not a free pair: the first face must have the second as its unique proper superset")
-    return _complex_from_faces(faces - {tmask, smask})
-
-
-def _is_point(faces: set[int] | frozenset[int]) -> bool:
-    return len(faces) == 1 and next(iter(faces)).bit_count() == 1
+    return Complex.from_masks(faces - {tmask, smask})
 
 
 def is_collapsible(complex_: Complex) -> CollapseTrace | None:
@@ -131,7 +123,7 @@ def is_collapsible(complex_: Complex) -> CollapseTrace | None:
     # one frame per state on the path: [its free pairs, index of the next to
     # try]; the top frame is the current state's, so len(steps) == len(frames) - 1
     frames: list[list] = []
-    while not _is_point(faces):
+    while not is_point(faces):
         known_dead = dead and frozenset(faces) in dead
         frames.append([() if known_dead else _free_pairs(faces), 0])
         while True:
@@ -151,7 +143,7 @@ def is_collapsible(complex_: Complex) -> CollapseTrace | None:
             tau, sigma = steps.pop()
             faces.add(tau)
             faces.add(sigma)
-    return CollapseTrace(tuple(steps), _complex_from_faces(frozenset(faces)))
+    return CollapseTrace(tuple(steps), Complex.from_masks(faces))
 
 
 def replay_trace(complex_: Complex, steps) -> Complex:
@@ -162,4 +154,4 @@ def replay_trace(complex_: Complex, steps) -> Complex:
         if (tmask, smask) not in _free_pairs(faces):
             raise ValueError(f"step {i}: {tuple(tau)} -> {tuple(sigma)} is not a legal collapse")
         faces = faces - {tmask, smask}
-    return _complex_from_faces(faces)
+    return Complex.from_masks(faces)

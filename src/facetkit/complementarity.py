@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bits import iter_bits, mask_from, vertices_of
+from .bits import iter_bits, mask_from, nonempty_submasks, vertices_of
 from .complexes import Complex, FaceProfile
 
 
@@ -26,26 +26,12 @@ def is_complementary(complex_: Complex) -> bool:
     check.
     """
     full = complex_.vertex_mask
-    if full.bit_count() <= 1:
-        return True
     faces = complex_.face_masks()
-    low = full & -full  # visit each pair once via the side holding the least vertex
-    for sub in _proper_subsets_containing(full, low):
+    low = full & -full  # visit each pair once via the side without the least vertex
+    for sub in nonempty_submasks(full ^ low):
         if (sub in faces) == ((full ^ sub) in faces):
             return False
     return True
-
-
-def _proper_subsets_containing(full: int, bit: int):
-    rest = full ^ bit
-    sub = rest
-    while True:
-        candidate = sub | bit
-        if candidate != full:
-            yield candidate
-        if sub == 0:
-            return
-        sub = (sub - 1) & rest
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ single-assignment semantics (racing writers compute identical values).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, groupby
 from math import comb
+from operator import or_
 from typing import Iterable
 
-from .bits import iter_bits, mask_from, nonempty_submasks, vertices_of
+from .bits import MAX_LABELS, iter_bits, mask_from, nonempty_submasks, vertices_of
 
 # classify_pseudomanifold outcomes
 NOT_PURE = "not_pure"
@@ -61,19 +63,26 @@ class Complex:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def _from_generators(masks: Iterable[int]) -> "Complex":
-        """Build from generating simplices, absorbing non-maximal ones."""
-        unique = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-        maximal: list[int] = []
-        for m in unique:
-            if not any(m & big == m for big in maximal):
-                maximal.append(m)
-        if not maximal:
+    def from_masks(masks: Iterable[int]) -> "Complex":
+        """Build from generating simplices given as bitmasks.
+
+        Duplicate and non-maximal masks are absorbed and the vertex mask is
+        the union.  An empty input, or a mask that is not a nonempty set of
+        labels 0..63, raises ValueError.
+        """
+        unique = sorted(set(masks), key=int.bit_count, reverse=True)
+        if not unique:
             raise ValueError("a complex needs at least one facet")
-        vmask = 0
-        for m in maximal:
-            vmask |= m
-        return Complex(tuple(sorted(maximal)), vmask)
+        if min(unique) <= 0 or max(unique) >> MAX_LABELS:
+            raise ValueError(f"a mask must be a nonempty set of labels 0..{MAX_LABELS - 1}")
+        by_size = groupby(unique, int.bit_count)
+        # distinct masks of one size never contain each other, so the largest
+        # are all maximal and each smaller m is tested against larger ones
+        # only: m lies in big iff m & big == m
+        maximal = list(next(by_size)[1])
+        for _, same_size in by_size:
+            maximal += [m for m in same_size if m not in map(m.__and__, maximal)]
+        return Complex(tuple(sorted(maximal)), reduce(or_, maximal))
 
     # -- basic queries ------------------------------------------------
 
@@ -136,11 +145,7 @@ class Complex:
         gens = [f ^ sigma for f in self.facet_masks if f & sigma == sigma and f != sigma]
         if not gens:
             raise ValueError(f"{vertices_of(sigma)} is a maximal face; its link is empty")
-        # distinct facets through sigma give incomparable remainders
-        vmask = 0
-        for g in gens:
-            vmask |= g
-        return Complex(tuple(sorted(gens)), vmask)
+        return Complex.from_masks(gens)
 
     def degree(self, simplex: Iterable[int]) -> int:
         """Number of vertices of the link."""
@@ -161,7 +166,7 @@ class Complex:
                 f"labels {vertices_of(w & ~self.vertex_mask)} are not vertices of the complex"
             )
         gens = [f & w for f in self.facet_masks if f & w]
-        return Complex._from_generators(gens)
+        return Complex.from_masks(gens)
 
     def classify_pseudomanifold(self) -> str:
         """One of not_pure / weak_pm / weak_pm_with_boundary / pseudomanifold / other.
@@ -228,8 +233,7 @@ class Complex:
             raise ValueError("vertex set contains labels outside the complex")
         if w == self.vertex_mask:
             raise ValueError("vertex set must be a proper subset of the vertices")
-        n_gens = [f for f in self.facet_masks if f & w]
-        neighbourhood = Complex(tuple(sorted(n_gens)), _union(n_gens))
+        neighbourhood = Complex.from_masks(f for f in self.facet_masks if f & w)
         complement = self.induced(vertices_of(self.vertex_mask ^ w))
         return neighbourhood, complement
 
@@ -280,27 +284,13 @@ class FacetGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
 
-def _union(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
 def build(facet_list: Iterable[Iterable[int]]) -> Complex:
     """Build a complex from generating vertex sets.
 
     Non-maximal entries are absorbed (external files may list every face);
     empty input, empty member sets and labels outside 0..63 are rejected.
     """
-    masks = [mask_from(f) for f in facet_list]
-    if not masks:
-        raise ValueError("facet list is empty")
-    return Complex._from_generators(masks)
-
-
-def join(left: Complex, right: Complex) -> Complex:
-    return left.join(right)
+    return Complex.from_masks(mask_from(f) for f in facet_list)
 
 
 def disjoint_union(left: Complex, right: Complex) -> Complex:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bits import vertices_of
+from .bits import iter_bits, vertices_of
 from .canonical import canonical_form
 from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex, all_simplices
 from .collapse import is_collapsible
@@ -35,13 +35,7 @@ class EnumerationReport:
         return len(self.classes)
 
     def class_complexes(self) -> list[Complex]:
-        out = []
-        for masks in self.classes:
-            vmask = 0
-            for m in masks:
-                vmask |= m
-            out.append(Complex(tuple(masks), vmask))
-        return out
+        return [Complex.from_masks(masks) for masks in self.classes]
 
     def write_dir(self, directory) -> None:
         directory = Path(directory)
@@ -98,10 +92,7 @@ def enumerate_complexes(n: int, filter_=None, candidate_order: str = "size-desc"
 
     def record():
         nonlocal labeled
-        vmask = 0
-        for m in chosen:
-            vmask |= m
-        complex_ = Complex(tuple(sorted(chosen)), vmask)
+        complex_ = Complex.from_masks(chosen)
         if filter_ is not None and not filter_(complex_):
             return
         labeled += 1
@@ -155,7 +146,7 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
     ridge_list = all_simplices(range(n), d)
     ridge_index = {m: i for i, m in enumerate(ridge_list)}
     cand_ridges = [
-        [ridge_index[c ^ b] for b in _bits(c)] for c in candidates
+        [ridge_index[c ^ b] for b in iter_bits(c)] for c in candidates
     ]
     last_use = [-1] * len(ridge_list)
     for ci, ridges in enumerate(cand_ridges):
@@ -191,10 +182,7 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
         nodes += 1
         if i == len(candidates):
             if chosen:
-                vmask = 0
-                for m in chosen:
-                    vmask |= m
-                complex_ = Complex(tuple(chosen), vmask)
+                complex_ = Complex.from_masks(chosen)
                 # distrust the generator: re-verify the outcome
                 if complex_.classify_pseudomanifold() in (WEAK_PM, PSEUDOMANIFOLD):
                     labeled += 1
@@ -227,13 +215,6 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
         nodes=nodes,
         wall_time=time.perf_counter() - start,
     )
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 @dataclass

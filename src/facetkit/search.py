@@ -218,7 +218,7 @@ def _verify_candidate(faces: list[int], n: int, d: int) -> tuple[int, ...] | Non
     an n-vertex d-dimensional complementary closed weak pseudomanifold."""
     if not faces:
         return None
-    complex_ = Complex._from_generators(faces)
+    complex_ = Complex.from_masks(faces)
     if complex_.vertex_mask != (1 << n) - 1:
         return None
     if complex_.dim != d:
@@ -337,10 +337,7 @@ def _run_dfs(
 def _dedupe(solutions: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     classes: dict[tuple[int, ...], None] = {}
     for facets in solutions:
-        vmask = 0
-        for m in facets:
-            vmask |= m
-        classes.setdefault(canonical_form(Complex(tuple(facets), vmask)))
+        classes.setdefault(canonical_form(Complex.from_masks(facets)))
     return tuple(sorted(classes))
 
 

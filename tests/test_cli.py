@@ -121,6 +121,22 @@ def test_collapse_command(tmp_path, capsys):
     assert main(["collapse", str(sphere)]) == 1
 
 
+def test_collapse_replay_partial_trace(tmp_path, capsys):
+    path = tmp_path / "tri.cplx"
+    path.write_text("0 1 2\n")
+    assert main(["collapse", str(path)]) == 0
+    steps = [line for line in capsys.readouterr().out.splitlines() if "->" in line]
+    trace_file = tmp_path / "partial.txt"
+    trace_file.write_text(steps[0] + "\n")
+    assert main(["collapse", str(path), "--replay", str(trace_file), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["valid"] is True and data["point"] is False
+    assert len(data["residue_facets"]) == 2
+    trace_file.write_text("\n".join(steps) + "\n")
+    assert main(["collapse", str(path), "--replay", str(trace_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] is True
+
+
 def test_malformed_file_is_usage_error(tmp_path):
     path = tmp_path / "bad.cplx"
     path.write_text("0 1\nnot numbers\n")

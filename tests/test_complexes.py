@@ -10,6 +10,7 @@ from facetkit import (
     PSEUDOMANIFOLD,
     WEAK_PM,
     WEAK_PM_WITH_BOUNDARY,
+    Complex,
     build,
     cycle,
     disjoint_union,
@@ -54,6 +55,9 @@ def test_build_errors():
         build([{0, 64}])
     with pytest.raises(ValueError):
         build([{-1}])
+    for masks in ([], iter([]), [0], [0b11, 0], [-1], [1 << 64]):
+        with pytest.raises(ValueError):
+            Complex.from_masks(masks)
 
 
 def test_face_profile_sphere():
