@@ -47,11 +47,9 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def nonempty_submasks(mask: int) -> list[int]:
-    """All nonempty sub-bitmasks of `mask` (including `mask` itself), descending."""
-    out = []
+def nonempty_submasks(mask: int) -> Iterator[int]:
+    """Yield the nonempty sub-bitmasks of `mask` (including `mask` itself), descending."""
     sub = mask
     while sub:
-        out.append(sub)
+        yield sub
         sub = (sub - 1) & mask
-    return out

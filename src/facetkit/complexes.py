@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, groupby
+from itertools import combinations
 from math import comb
 from operator import or_
 from typing import Iterable
@@ -70,18 +70,15 @@ class Complex:
         the union.  An empty input, or a mask that is not a nonempty set of
         labels 0..63, raises ValueError.
         """
-        unique = sorted(set(masks), key=int.bit_count, reverse=True)
+        unique = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
         if not unique:
             raise ValueError("a complex needs at least one facet")
         if min(unique) <= 0 or max(unique) >> MAX_LABELS:
             raise ValueError(f"a mask must be a nonempty set of labels 0..{MAX_LABELS - 1}")
-        by_size = groupby(unique, int.bit_count)
-        # distinct masks of one size never contain each other, so the largest
-        # are all maximal and each smaller m is tested against larger ones
-        # only: m lies in big iff m & big == m
-        maximal = list(next(by_size)[1])
-        for _, same_size in by_size:
-            maximal += [m for m in same_size if m not in map(m.__and__, maximal)]
+        maximal: list[int] = []
+        for m in unique:
+            if not any(m & big == m for big in maximal):
+                maximal.append(m)
         return Complex(tuple(sorted(maximal)), reduce(or_, maximal))
 
     # -- basic queries ------------------------------------------------

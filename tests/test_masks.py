@@ -108,15 +108,11 @@ def facet_lists():
     return lists
 
 
-def test_submask_walk_matches_combinations():
-    for mask in range(1 << 10):
-        assert nonempty_submasks(mask) == sorted(oracle_nonempty_submasks(mask), reverse=True)
-
-
-def test_submask_walk_on_facets(facet_lists):
-    for masks in facet_lists:
-        for m in masks:
-            assert sorted(nonempty_submasks(m)) == sorted(oracle_nonempty_submasks(m))
+def test_submask_walk_matches_combinations(facet_lists):
+    # every mask below 2^10, plus the relabeled facets spread over labels 0..63
+    masks = set(range(1 << 10)).union(*facet_lists)
+    for mask in sorted(masks):
+        assert list(nonempty_submasks(mask)) == sorted(oracle_nonempty_submasks(mask), reverse=True)
 
 
 def test_is_complementary_matches_pair_scan(facet_lists):
@@ -127,6 +123,11 @@ def test_is_complementary_matches_pair_scan(facet_lists):
         assert verdict == oracle_is_complementary(k), masks
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_is_complementary_stops_at_first_bad_pair():
+    # 40 vertices: the scan fails within a few pairs, never listing 2^39 subsets
+    assert not is_complementary(cycle(40))
 
 
 def test_from_masks_matches_hand_rolled(facet_lists):
