@@ -160,11 +160,16 @@ def canonical_complex(complex_: Complex) -> Complex:
     return Complex.from_masks(canonical_form(complex_))
 
 
+def _is_injection_from(mapping: dict[int, int], vertices) -> bool:
+    """True iff `mapping` is injective and its keys are exactly `vertices`."""
+    return set(mapping) == set(vertices) and len(set(mapping.values())) == len(mapping)
+
+
 def verify_isomorphism(left: Complex, right: Complex, mapping: dict[int, int]) -> bool:
     """Full face-set check that `mapping` carries faces to faces both ways."""
-    if set(mapping) != set(left.vertices) or set(mapping.values()) != set(right.vertices):
+    if not _is_injection_from(mapping, left.vertices):
         return False
-    if len(set(mapping.values())) != len(mapping):
+    if set(mapping.values()) != set(right.vertices):
         return False
     cert = IsoCertificate(dict(mapping))
     return {cert.apply_mask(m) for m in left.face_masks()} == set(right.face_masks())
@@ -189,6 +194,12 @@ def is_isomorphic(left: Complex, right: Complex) -> IsoCertificate | None:
 
 
 def relabel(complex_: Complex, mapping: dict[int, int]) -> Complex:
-    """Apply a vertex bijection to a complex."""
+    """Apply a vertex bijection to a complex.
+
+    `mapping` must be injective with keys exactly the complex's vertices;
+    anything else raises `ValueError` instead of merging or dropping vertices.
+    """
+    if not _is_injection_from(mapping, complex_.vertices):
+        raise ValueError("relabel needs an injective mapping defined on exactly the vertices")
     cert = IsoCertificate(dict(mapping))
     return Complex.from_masks(cert.apply_mask(m) for m in complex_.facet_masks)

@@ -221,23 +221,28 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     check_id = args.id
-    try:
-        check = REGISTRY[check_id]
-    except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        print(f"unknown check {check_id!r}; known ids: {known}", file=sys.stderr)
-        return 2
-    if check.tier == LONG and args.tier != LONG:
+    check = REGISTRY.get(check_id)
+    if check is not None and check.tier == LONG and args.tier != LONG:
         print(
             f"{check_id} is a long-tier check (expect minutes); rerun with --tier long",
             file=sys.stderr,
         )
         return 2
-    result = run_check(check_id)
+    try:
+        result = run_check(check_id)
+    except KeyError as exc:  # unknown id; run_check's message names the known ones
+        print(exc.args[0], file=sys.stderr)
+        return 2
     verdict = "PASS" if result.passed else "FAIL"
     _emit(
         args,
-        {"id": check_id, "passed": result.passed, "elapsed": result.elapsed, **result.data},
+        {
+            "id": check_id,
+            "passed": result.passed,
+            "elapsed": result.elapsed,
+            **result.data,
+            "expected": result.expected,
+        },
         result.lines + [f"{check_id}: {verdict} ({result.elapsed:.2f}s)"],
     )
     return 0 if result.passed else 1

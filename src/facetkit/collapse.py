@@ -51,7 +51,10 @@ def parse_trace(text: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         if "->" not in line:
             raise ValueError(f"line {lineno}: expected 'tau -> sigma'")
         left, right = line.split("->", 1)
-        steps.append((tuple(int(t) for t in left.split()), tuple(int(t) for t in right.split())))
+        try:
+            steps.append((tuple(map(int, left.split())), tuple(map(int, right.split()))))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integer labels") from None
     return steps
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bits import iter_bits, mask_from, nonempty_submasks, vertices_of
+from .bits import mask_from, nonempty_submasks, vertices_of
 from .complexes import Complex, FaceProfile
 
 
@@ -66,59 +66,6 @@ def cofacet_histogram(complex_: Complex, k: int) -> dict[int, int]:
         count = sum(1 for f in complex_.facet_masks if f & face == face)
         hist[count] = hist.get(count, 0) + 1
     return hist
-
-
-@dataclass(frozen=True)
-class AmicablePartition:
-    """Ordered triple of disjoint faces covering the vertex set, the link of
-    each being the standard sphere on the next (cyclically)."""
-
-    parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _link_equals_standard_sphere_on(complex_: Complex, part: int, target: int) -> bool:
-    """Does Lk(part) consist of exactly the proper nonempty subsets of target?"""
-    facets_through = [f ^ part for f in complex_.facet_masks if f & part == part and f != part]
-    if not facets_through:
-        return False
-    expected = sorted(target ^ b for b in iter_bits(target))
-    return sorted(facets_through) == expected
-
-
-def find_amicable_partitions(complex_: Complex) -> list[AmicablePartition]:
-    """All amicable partitions, one representative per cyclic rotation class.
-
-    The vertex set of Lk(A) pins the only possible next part, so the scan is
-    a single pass over faces.
-    """
-    full = complex_.vertex_mask
-    found: set[tuple[int, int, int]] = set()
-    for a1 in sorted(complex_.face_masks()):
-        link_facets = [f ^ a1 for f in complex_.facet_masks if f & a1 == a1 and f != a1]
-        if not link_facets:
-            continue
-        a2 = 0
-        for g in link_facets:
-            a2 |= g
-        a3 = full ^ a1 ^ a2
-        if a3 == 0 or a2 == 0:
-            continue
-        if not complex_.has_face_mask(a2) or not complex_.has_face_mask(a3):
-            continue
-        if not _link_equals_standard_sphere_on(complex_, a1, a2):
-            continue
-        if not _link_equals_standard_sphere_on(complex_, a2, a3):
-            continue
-        if not _link_equals_standard_sphere_on(complex_, a3, a1):
-            continue
-        rotations = [(a1, a2, a3), (a2, a3, a1), (a3, a1, a2)]
-        key = min(rotations)
-        if key not in found:
-            found.add(key)
-    return [
-        AmicablePartition((vertices_of(a), vertices_of(b), vertices_of(c)))
-        for a, b, c in sorted(found)
-    ]
 
 
 def forced_profile(n: int, d: int) -> FaceProfile:

@@ -220,20 +220,6 @@ class Complex:
         profile = self.face_profile()
         return profile.counts[k - 1] == comb(self.n_vertices, k)
 
-    def neighbourhood_and_complement(
-        self, vertex_set: Iterable[int]
-    ) -> tuple["Complex", "Complex"]:
-        """Simplicial neighbourhood of the given vertices, and the induced
-        subcomplex on the complementary vertices."""
-        w = mask_from(vertex_set)
-        if w & ~self.vertex_mask:
-            raise ValueError("vertex set contains labels outside the complex")
-        if w == self.vertex_mask:
-            raise ValueError("vertex set must be a proper subset of the vertices")
-        neighbourhood = Complex.from_masks(f for f in self.facet_masks if f & w)
-        complement = self.induced(vertices_of(self.vertex_mask ^ w))
-        return neighbourhood, complement
-
     # -- value semantics ------------------------------------------------
 
     def __eq__(self, other):
@@ -276,9 +262,6 @@ class FacetGraph:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == n
-
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
 
 
 def build(facet_list: Iterable[Iterable[int]]) -> Complex:

@@ -43,14 +43,28 @@ def test_c01_forced_profile_12_6():
     assert forced_profile(12, 6).counts == (12, 66, 220, 495, 660, 462, 132)
     result = run_check("L4.1")
     assert result.passed
+    assert set(result.data) == {"f_vector"}
     _stamp("1 L4.1", started, 1.0)
 
 
 def test_c02_audit_chain():
     started = time.perf_counter()
-    for check_id in ("L4.10", "L4.11", "L4.12", "L4.13"):
+    keys = {
+        "L4.10": {"e"},
+        "L4.11": {"facet_meet"},
+        "L4.12": {"moments", "edge_facet_count", "vertex_facet_count"},
+        "L4.13": {
+            "edge_4face_count",
+            "edge_link_profile",
+            "edge_link_euler",
+            "euler",
+            "contradiction",
+        },
+    }
+    for check_id, names in keys.items():
         result = run_check(check_id)
         assert result.passed, check_id
+        assert set(result.data) == names, check_id
     _stamp("2 L4.10-L4.13", started, 1.0)
 
 
@@ -71,6 +85,14 @@ def test_c04_seven_vertex_complex():
     started = time.perf_counter()
     result = run_check("E2")
     assert result.passed
+    assert set(result.data) == {
+        "complementary",
+        "weak_pm_with_boundary",
+        "f_vector",
+        "euler_odd",
+        "edges_in_two_facets",
+        "facet_pairs_share_one_edge",
+    }
     _stamp("4 E2", started, 1.0)
 
 
@@ -79,6 +101,7 @@ def test_c05_five_vertex_triangle_configurations():
     result = run_check("L3.2")
     assert result.passed
     assert result.data["exceptions"] == 0
+    assert set(result.data) == {"checked", "exceptions"}
     _stamp("5 L3.2", started, 5.0)
 
 
@@ -88,13 +111,18 @@ def test_c06_acyclic_implies_collapsible():
     assert result.passed
     assert result.data["counterexamples"] == 0
     assert result.data["classes"] == 208
+    assert set(result.data) == {"classes", "acyclic", "collapsible", "counterexamples"}
     _stamp("6 L3.3", started, 600.0)
 
 
 def test_c07_weak_pseudomanifold_uniqueness():
     started = time.perf_counter()
-    assert run_check("U4WPM").passed
-    assert run_check("U5WPM").passed
+    u4 = run_check("U4WPM")
+    assert u4.passed
+    assert set(u4.data) == {"class_count", "minimal_sphere"}
+    u5 = run_check("U5WPM")
+    assert u5.passed
+    assert set(u5.data) == {"count_5", "join_circle_two_points", "count_6", "bound_ok"}
     _stamp("7 U4WPM/U5WPM", started, 60.0)
 
 
@@ -102,6 +130,15 @@ def test_c08_projective_plane_search():
     started = time.perf_counter()
     result = run_check("RP26")
     assert result.passed
+    assert set(result.data) == {
+        "complete",
+        "one_class",
+        "f_vector",
+        "euler",
+        "vertex_links_circles",
+        "h1_torsion",
+        "h2_trivial",
+    }
     _stamp("8 RP26", started, 30.0)
 
 
@@ -109,6 +146,13 @@ def test_c09_kuehnel_examples():
     started = time.perf_counter()
     result = run_check("E1")
     assert result.passed
+    assert set(result.data) == {
+        "27_facets",
+        "2_neighbourly",
+        "euler_0",
+        "windows_induce_spheres",
+        "7_vertex_links_circles",
+    }
     _stamp("9 E1", started, 5.0)
 
 
@@ -195,11 +239,9 @@ def test_c11_nine_vertex_search():
     started = time.perf_counter()
     result = run_check("CP29")
     assert result.passed, result.lines
-    report = search_complementary(9, 4)
-    assert report.complete
-    assert report.class_count == 1
-    k = report.class_complexes()[0]
-    assert k.face_profile().counts == (9, 36, 84, 90, 36)
-    assert k.face_profile().euler == 3
-    assert k.is_k_neighbourly(3)
+    assert result.data["complete"] is True
+    assert result.data["one_class"] == 1
+    assert result.data["f_vector"] == (9, 36, 84, 90, 36)
+    assert result.data["euler"] == 3
+    assert result.data["three_neighbourly"] is True
     print(f"ACCEPTANCE 11 CP29: PASS ({time.perf_counter() - started:.2f}s)")

@@ -122,6 +122,17 @@ def test_verify_isomorphism_rejects_bad_maps():
     assert not verify_isomorphism(k, cycle(4, labels=[4, 5, 6, 7]), {0: 4, 1: 5, 2: 6, 3: 7})
 
 
+def test_relabel_rejects_non_bijections():
+    square = cycle(4)
+    assert relabel(square, {0: 5, 1: 6, 2: 7, 3: 8}) == cycle(4, labels=[5, 6, 7, 8])
+    with pytest.raises(ValueError):
+        relabel(square, {0: 0, 1: 1, 2: 2, 3: 2})  # not injective: would give a triangle
+    with pytest.raises(ValueError):
+        relabel(square, {0: 0, 1: 1, 2: 2})  # partial: would drop vertex 3
+    with pytest.raises(ValueError):
+        relabel(square, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})  # a key that is no vertex
+
+
 def assert_matches_oracle(complex_):
     form, mapping = _canonical_search(complex_)
     assert form == oracle_canonical_search(complex_)[0]

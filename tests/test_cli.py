@@ -5,6 +5,7 @@ import json
 import pytest
 
 from facetkit.cli import main
+from facetkit.lemmas import FAST, REGISTRY, LemmaCheck, run_check
 
 
 @pytest.fixture
@@ -100,8 +101,27 @@ def test_verify_lemma(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is True
     assert data["f_vector"] == [12, 66, 220, 495, 660, 462, 132]
+    assert data["expected"] == {"f_vector": [12, 66, 220, 495, 660, 462, 132]}
     assert main(["verify-lemma", "NOPE"]) == 2
+    assert "unknown check 'NOPE'; known ids: CP29, E1" in capsys.readouterr().err
     assert main(["verify-lemma", "CP29"]) == 2  # long tier requires --tier long
+
+
+def test_verify_lemma_mismatch(monkeypatch, capsys):
+    rows = [("f_vector", (1, 2), (3, 4)), ("note", 5, None), ("agrees", 6, 6)]
+    monkeypatch.setitem(REGISTRY, "L4.1", LemmaCheck("L4.1", FAST, "a failing check", lambda: rows))
+    result = run_check("L4.1")
+    assert result.passed is False
+    assert result.lines == [
+        "f_vector: (1, 2) (expected (3, 4))  <-- MISMATCH",
+        "note: 5",
+        "agrees: 6 (expected 6)",
+    ]
+    assert main(["verify-lemma", "L4.1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is False
+    assert data["f_vector"] == [1, 2]
+    assert data["expected"] == {"f_vector": [3, 4], "note": None, "agrees": 6}
 
 
 def test_collapse_command(tmp_path, capsys):
@@ -135,6 +155,15 @@ def test_collapse_replay_partial_trace(tmp_path, capsys):
     trace_file.write_text("\n".join(steps) + "\n")
     assert main(["collapse", str(path), "--replay", str(trace_file), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["point"] is True
+
+
+def test_collapse_replay_malformed_trace(tmp_path, capsys):
+    path = tmp_path / "tri.cplx"
+    path.write_text("0 1 2\n")
+    trace_file = tmp_path / "bad.trace"
+    trace_file.write_text("# comment\nx -> 0 1\n")
+    assert main(["collapse", str(path), "--replay", str(trace_file)]) == 2
+    assert "line 2: expected integer labels" in capsys.readouterr().err
 
 
 def test_malformed_file_is_usage_error(tmp_path):

@@ -11,7 +11,6 @@ from facetkit import (
     cycle,
     cyclic_complementary_complex,
     disjoint_union,
-    find_amicable_partitions,
     forced_profile,
     intersection_profile,
     is_complementary,
@@ -113,28 +112,6 @@ def test_cofacet_double_count():
         for j in range(d + 1):
             hist = cofacet_histogram(k, j)
             assert sum(c * m for c, m in hist.items()) == fd * comb(d + 1, j + 1)
-
-
-def three_block_complex():
-    parts = ([0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11])
-    facets = []
-    for i in range(3):
-        part, nxt = parts[i], parts[(i + 1) % 3]
-        for v in nxt:
-            facets.append(part + [u for u in nxt if u != v])
-    return build(facets), parts
-
-
-def test_amicable_partition_found():
-    k, parts = three_block_complex()
-    found = find_amicable_partitions(k)
-    assert len(found) == 1
-    assert found[0].parts == tuple(tuple(p) for p in parts)
-
-
-def test_amicable_partition_absent():
-    assert find_amicable_partitions(standard_sphere(2)) == []
-    assert find_amicable_partitions(cyclic_complementary_complex()) == []
 
 
 def test_audit_numbers():

@@ -197,11 +197,11 @@ def test_classify():
 
 def test_facet_graph():
     g = standard_sphere(2).facet_graph()
-    assert g.edge_count() == 6  # complete graph on the 4 facets
+    assert all(len(a) == 3 for a in g.adjacency)  # complete graph on the 4 facets
     assert g.is_connected()
     two = disjoint_union(standard_sphere(2), standard_sphere(2, labels=[4, 5, 6, 7]))
     assert not two.facet_graph().is_connected()
-    assert build(CYCLIC7_FACETS).facet_graph().edge_count() == 0
+    assert not any(build(CYCLIC7_FACETS).facet_graph().adjacency)  # no shared ridge
     with pytest.raises(ValueError):
         build([[0, 1, 2], [2, 3]]).facet_graph()
 
@@ -213,20 +213,6 @@ def test_is_k_neighbourly():
         assert k.is_k_neighbourly(1)
     with pytest.raises(ValueError):
         standard_sphere(2).is_k_neighbourly(0)
-
-
-def test_neighbourhood_and_complement():
-    s = standard_sphere(2, labels=[1, 2, 3, 4])
-    n, c = s.neighbourhood_and_complement([1])
-    assert set(n.facets) == {(1, 2, 3), (1, 2, 4), (1, 3, 4)}
-    assert c.facets == ((2, 3, 4),)
-    with pytest.raises(ValueError):
-        s.neighbourhood_and_complement([1, 2, 3, 4])
-    # every facet lands in the neighbourhood or the complement
-    k = build(CYCLIC7_FACETS)
-    n, c = k.neighbourhood_and_complement([0, 1])
-    covered = set(n.facet_masks) | set(c.face_masks())
-    assert all(f in covered for f in k.facet_masks)
 
 
 def test_links_of_weak_pm_are_weak_pm():
