@@ -22,7 +22,7 @@ from .atlas import (
 from .collapse import is_collapsible, is_point, parse_trace, replay_trace
 from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex
 from .complementarity import is_complementary
-from .enumeration import enumerate_complexes, enumerate_weak_pseudomanifolds
+from .enumeration import EnumerationReport, enumerate_complexes, enumerate_weak_pseudomanifolds
 from .formats import FacetParseError, load_complex, save_complex
 from .homology import homology
 from .lemmas import LONG, REGISTRY, run_check
@@ -157,6 +157,29 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _emit_report(args, report: EnumerationReport, labeled_noun: str) -> int:
+    """Write and print an enumeration or search report; exit 1 if incomplete."""
+    if args.output:
+        report.write_dir(args.output)
+    data = {
+        "parameters": report.parameters,
+        "class_count": report.class_count,
+        "labeled_count": report.labeled_count,
+        "complete": report.complete,
+        "nodes": report.nodes,
+    }
+    _emit(
+        args,
+        data,
+        [
+            f"classes: {report.class_count} ({labeled_noun}: {report.labeled_count})",
+            f"complete: {report.complete}; nodes: {report.nodes}; "
+            f"wall: {report.wall_time:.2f}s",
+        ],
+    )
+    return 0 if report.complete else 1
+
+
 def _cmd_enumerate(args) -> int:
     if args.weak_pm:
         if args.dim is None:
@@ -169,54 +192,12 @@ def _cmd_enumerate(args) -> int:
             dim = args.dim
             filter_ = lambda c: c.dim == dim  # noqa: E731
         report = enumerate_complexes(args.vertices, filter_)
-    if args.output:
-        report.write_dir(args.output)
-    data = {
-        "parameters": report.parameters,
-        "class_count": report.class_count,
-        "labeled_count": report.labeled_count,
-        "complete": report.complete,
-        "nodes": report.nodes,
-    }
-    _emit(
-        args,
-        data,
-        [
-            f"classes: {report.class_count} (labeled objects: {report.labeled_count})",
-            f"complete: {report.complete}; nodes: {report.nodes}; "
-            f"wall: {report.wall_time:.2f}s",
-        ],
-    )
-    return 0
+    return _emit_report(args, report, "labeled objects")
 
 
 def _cmd_search(args) -> int:
-    report = search_complementary(
-        args.n,
-        args.d,
-        node_budget=args.budget,
-        checkpoint_path=args.checkpoint,
-        resume_from=args.resume,
-    )
-    if args.output:
-        report.write_dir(args.output)
-    data = {
-        "parameters": report.parameters,
-        "class_count": report.class_count,
-        "labeled_count": report.labeled_count,
-        "complete": report.complete,
-        "nodes": report.nodes,
-    }
-    _emit(
-        args,
-        data,
-        [
-            f"classes: {report.class_count} (labeled solutions: {report.labeled_count})",
-            f"complete: {report.complete}; nodes: {report.nodes}; "
-            f"wall: {report.wall_time:.2f}s",
-        ],
-    )
-    return 0 if report.complete else 1
+    report = search_complementary(args.n, args.d, node_budget=args.budget)
+    return _emit_report(args, report, "labeled solutions")
 
 
 def _cmd_verify_lemma(args) -> int:
@@ -324,9 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("search-complementary", _cmd_search, help="complementary weak pseudomanifold search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**9, help="total node budget (raise it when resuming)")
-    p.add_argument("--checkpoint", help="state file to write every 10^7 nodes")
-    p.add_argument("--resume", help="state file from an interrupted run")
+    p.add_argument("--budget", type=int, default=10**9, help="total node budget")
     p.add_argument("-o", "--output", help="directory for report.json + class files")
 
     p = add("verify-lemma", _cmd_verify_lemma, help="run a named verification check")

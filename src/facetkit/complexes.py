@@ -107,9 +107,6 @@ class Complex:
     def has_face_mask(self, mask: int) -> bool:
         return mask != 0 and any(mask & f == mask for f in self.facet_masks)
 
-    def is_face(self, simplex: Iterable[int]) -> bool:
-        return self.has_face_mask(mask_from(simplex))
-
     def face_masks(self) -> frozenset[int]:
         """The full face set, materialized on demand and memoized."""
         cached = self._faces
@@ -143,10 +140,6 @@ class Complex:
         if not gens:
             raise ValueError(f"{vertices_of(sigma)} is a maximal face; its link is empty")
         return Complex.from_masks(gens)
-
-    def degree(self, simplex: Iterable[int]) -> int:
-        """Number of vertices of the link."""
-        return self.link(simplex).n_vertices
 
     def join(self, other: "Complex") -> "Complex":
         if self.vertex_mask & other.vertex_mask:

@@ -16,10 +16,8 @@ by canonical form.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .canonical import canonical_form
 from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex
@@ -28,8 +26,6 @@ from .enumeration import EnumerationReport
 
 UNKNOWN, FACE, NONFACE = 0, 1, 2
 _BRANCH_VALUES = (FACE, NONFACE)
-STATE_VERSION = 1
-CHECKPOINT_INTERVAL = 10**7  # nodes between checkpoint writes
 
 
 class PairLedger:
@@ -251,86 +247,37 @@ def _run_dfs(
     *,
     prefix: list[tuple[int, int]],
     node_budget: int | None,
-    checkpoint_path=None,
-    resume_state: dict | None = None,
 ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Returns (labeled solutions as facet tuples, nodes, complete)."""
     ledger = PairLedger(n, d)
-    consistent = True
-    for mask, value in prefix:
-        if not ledger.assign(mask, value):
-            consistent = False
-            break
+    if not all(ledger.assign(mask, value) for mask, value in prefix):
+        return [], 0, True
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     stack: list[_Frame] = []
-
-    if resume_state is not None:
-        if not consistent:
-            raise ValueError("resume state conflicts with the search prefix")
-        nodes = resume_state["nodes"]
-        solutions = [tuple(s) for s in resume_state["solutions"]]
-        frames = resume_state["stack"]
-        suspended = resume_state["suspended"]
-        for i, (mask, next_branch) in enumerate(frames):
-            mark = ledger.mark()
-            at_tip = i == len(frames) - 1
-            if at_tip and suspended:
-                # the tip never applied its next branch; re-enter backtracking
-                stack.append(_Frame(mask, next_branch, mark))
-                consistent = False
-            else:
-                if not ledger.assign(mask, _BRANCH_VALUES[next_branch - 1]):
-                    raise ValueError("resume state could not be replayed")
-                stack.append(_Frame(mask, next_branch, mark))
-
-    def write_checkpoint(path, suspended: bool) -> None:
-        state = {
-            "version": STATE_VERSION,
-            "n": n,
-            "d": d,
-            "prefix": [list(p) for p in prefix],
-            "nodes": nodes,
-            "solutions": [list(s) for s in solutions],
-            "stack": [[f.mask, f.next_branch] for f in stack],
-            "suspended": suspended,
-        }
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(state))
-        tmp.replace(path)
-
     while True:
-        if consistent:
-            target = ledger.select_branch()
-            if target is None:
-                verified = _verify_candidate(ledger.decided_faces(), n, d)
-                if verified is not None:
-                    solutions.append(verified)
-            else:
-                stack.append(_Frame(target, 0, ledger.mark()))
-            consistent = False
-        advanced = False
+        target = ledger.select_branch()
+        if target is None:
+            verified = _verify_candidate(ledger.decided_faces(), n, d)
+            if verified is not None:
+                solutions.append(verified)
+        else:
+            stack.append(_Frame(target, 0, ledger.mark()))
+        # backtrack to the next branch that assigns without conflict
         while stack:
             frame = stack[-1]
             ledger.undo_to(frame.mark)
-            if frame.next_branch >= len(_BRANCH_VALUES):
+            if frame.next_branch == len(_BRANCH_VALUES):
                 stack.pop()
                 continue
             if node_budget is not None and nodes + 1 > node_budget:
-                if checkpoint_path is not None:
-                    write_checkpoint(checkpoint_path, suspended=True)
                 return solutions, nodes, False
             value = _BRANCH_VALUES[frame.next_branch]
             frame.next_branch += 1
             nodes += 1
             if ledger.assign(frame.mask, value):
-                consistent = True
-                advanced = True
-                if checkpoint_path is not None and nodes % CHECKPOINT_INTERVAL == 0:
-                    write_checkpoint(checkpoint_path, suspended=False)
                 break
-        if not advanced:
+        else:
             return solutions, nodes, True
 
 
@@ -346,15 +293,12 @@ def search_complementary(
     d: int,
     *,
     node_budget: int = 10**9,
-    checkpoint_path=None,
-    resume_from=None,
     symmetry_breaking: bool = True,
 ) -> EnumerationReport:
     """All isomorphism classes of n-vertex d-dimensional complementary weak
     pseudomanifolds, with a completeness flag.
 
-    If the node budget runs out the report is flagged incomplete (and a
-    resumable state file is written when `checkpoint_path` is set).  The
+    If the node budget runs out the report is flagged incomplete.  The
     (12, 6) instance is refused: its nonexistence is what the arithmetic
     audit proves, and the raw pair space (2^1254) is far beyond search.
     """
@@ -370,20 +314,7 @@ def search_complementary(
         )
     start = time.perf_counter()
     prefix = _symmetry_prefix(n, d) if symmetry_breaking else []
-    state = None
-    if resume_from is not None:
-        state = json.loads(Path(resume_from).read_text())
-        if state.get("version") != STATE_VERSION or (state["n"], state["d"]) != (n, d):
-            raise ValueError("resume state does not match this search")
-        prefix = [tuple(p) for p in state["prefix"]]
-    solutions, nodes, complete = _run_dfs(
-        n,
-        d,
-        prefix=prefix,
-        node_budget=node_budget,
-        checkpoint_path=checkpoint_path,
-        resume_state=state,
-    )
+    solutions, nodes, complete = _run_dfs(n, d, prefix=prefix, node_budget=node_budget)
     return EnumerationReport(
         parameters={
             "n": n,

@@ -169,8 +169,8 @@ def test_pruned_search_matches_oracle_on_symmetric_sphere():
 
 
 def test_all_labeled_9_4_solutions_share_the_oracle_form():
-    solutions, _, complete = search._run_dfs(9, 4, prefix=search._symmetry_prefix(9, 4), node_budget=None)
-    assert complete and len(solutions) == 480
+    solutions, nodes, complete = search._run_dfs(9, 4, prefix=search._symmetry_prefix(9, 4), node_budget=None)
+    assert complete and nodes == 1102 and len(solutions) == 480
     expected = oracle_canonical_search(Complex.from_masks(solutions[0]))[0]
     assert {canonical_form(Complex.from_masks(facets)) for facets in solutions} == {expected}
 

@@ -119,13 +119,6 @@ def test_link_errors():
         build([[0, 1, 2]]).link([0, 1, 2])  # maximal face has no link here
 
 
-def test_degree():
-    assert standard_sphere(2).degree([0]) == 3
-    assert build(CYCLIC7_FACETS).degree([0]) == 6
-    with pytest.raises(ValueError):
-        cycle(5).degree([0, 1])  # an edge of the cycle is a facet
-
-
 def test_join_squares_and_spheres():
     from facetkit import canonical_form
 

@@ -1,7 +1,5 @@
 """Complementary weak pseudomanifold search: oracle equivalence, symmetry
-soundness, checkpointing, parallelism."""
-
-import json
+soundness, the node budget."""
 
 import pytest
 
@@ -67,21 +65,8 @@ def test_12_6_refused():
         search_complementary(13, 6)
 
 
-def test_checkpoint_and_resume(tmp_path):
-    state = tmp_path / "state.json"
-    partial = search_complementary(6, 2, node_budget=1, checkpoint_path=state)
-    assert not partial.complete
-    assert state.exists()
-    payload = json.loads(state.read_text())
-    assert payload["n"] == 6 and payload["d"] == 2 and payload["suspended"]
-    resumed = search_complementary(6, 2, node_budget=10**6, resume_from=state)
-    assert resumed.complete
-    assert resumed.classes == search_complementary(6, 2).classes
-
-
-def test_resume_rejects_mismatched_state(tmp_path):
-    state = tmp_path / "state.json"
-    search_complementary(6, 2, node_budget=1, checkpoint_path=state)
-    with pytest.raises(ValueError):
-        search_complementary(7, 3, resume_from=state)
-
+def test_node_budget_boundary():
+    partial = search_complementary(6, 2, node_budget=1)
+    assert partial.complete is False and partial.nodes == 1
+    full = search_complementary(6, 2, node_budget=2)
+    assert full.complete is True and full.nodes == 2 and full.class_count == 1
