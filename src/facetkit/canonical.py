@@ -18,12 +18,19 @@ of target cell and the leaf form depend only on cell positions, so it maps
 the subtree under one sibling onto the subtree under the other with the same
 leaf forms: the least form is still found.  The full walk is kept in the
 tests as the oracle.
+
+Deduplicating many labeled objects goes through `sweep_orbits`: the labeled
+objects of one class are relabelings of each other, so callers canonicalize
+one representative per orbit of the run's symmetry group instead of every
+object, and on a complete run the sweep checks that the labeled set is closed
+under that group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bits import vertices_of
 from .complexes import Complex
 
 
@@ -203,3 +210,56 @@ def relabel(complex_: Complex, mapping: dict[int, int]) -> Complex:
         raise ValueError("relabel needs an injective mapping defined on exactly the vertices")
     cert = IsoCertificate(dict(mapping))
     return Complex.from_masks(cert.apply_mask(m) for m in complex_.facet_masks)
+
+
+def symmetric_generators(points, n: int) -> list[tuple[int, ...]]:
+    """Permutations of 0..n-1 generating the symmetric group on `points` and
+    fixing every other vertex: the transposition of the first two points and
+    the cycle through all of them (one permutation for two points, none for
+    fewer)."""
+    points = list(points)
+    if len(points) < 2:
+        return []
+    swap, cycle = list(range(n)), list(range(n))
+    swap[points[0]], swap[points[1]] = points[1], points[0]
+    for a, b in zip(points, points[1:] + points[:1]):
+        cycle[a] = b
+    return [tuple(swap)] if len(points) == 2 else [tuple(swap), tuple(cycle)]
+
+
+def index_permutation(perm, candidates: list[int]) -> tuple[int, ...]:
+    """The permutation of candidate indices that the vertex permutation
+    `perm` induces; `candidates` must be closed under it."""
+    index = {m: i for i, m in enumerate(candidates)}
+    return tuple(index[sum(1 << perm[v] for v in vertices_of(m))] for m in candidates)
+
+
+def sweep_orbits(labeled: set[int], generators, *, complete: bool) -> list[tuple[int, int]]:
+    """Split a set of labeled objects into orbits of the group that the index
+    permutations `generators` generate; one `(representative, orbit size)`
+    pair per orbit.
+
+    Each object is an int whose set bits index the run's candidate list.  A
+    complete run's labeled set must be closed under the group: an image that
+    is not in the set means a solution was lost or invented, and raises
+    `AssertionError`.  On an incomplete run such images are skipped, so one
+    true orbit may come back as several pieces; their canonical forms agree.
+    """
+    tables = [[1 << j for j in g] for g in generators]
+    unvisited = set(labeled)
+    orbits = []
+    while unvisited:
+        orbit = [unvisited.pop()]
+        for x in orbit:  # breadth-first: the list grows while it is walked
+            bits = vertices_of(x)
+            for table in tables:
+                y = 0
+                for i in bits:
+                    y |= table[i]
+                if y in unvisited:
+                    unvisited.remove(y)
+                    orbit.append(y)
+                elif complete and y not in labeled:
+                    raise AssertionError("labeled set of a complete run is not closed under its symmetry group")
+        orbits.append((orbit[0], len(orbit)))
+    return orbits

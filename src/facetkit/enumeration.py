@@ -1,7 +1,10 @@
 """Isomorph-free exhaustive generation of small complexes.
 
-Labeled objects are generated by orderly extension of facet antichains and
-deduplicated through the exact canonical form; reports carry both the
+Labeled objects are generated by orderly extension of facet antichains, each
+held as one int whose set bits index the run's candidate facet list.  They
+are deduplicated by an orbit sweep under S_n (`canonical.sweep_orbits`): one
+exact canonical form per orbit, not per labeled object, and the labeled set
+must be closed under relabeling, or the sweep raises.  Reports carry both the
 canonical class count and the labeled count, which are never conflated.
 """
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bits import iter_bits, vertices_of
-from .canonical import canonical_form
+from .canonical import canonical_form, index_permutation, sweep_orbits, symmetric_generators
 from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex, all_simplices
 from .collapse import is_collapsible
 from .homology import is_acyclic
@@ -57,6 +60,15 @@ class EnumerationReport:
             (directory / f"class_{i:03d}.cplx").write_text(dump_facet_text(complex_, head))
 
 
+def _orbit_classes(labeled: set[int], candidates: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical classes of a labeled set that is closed under S_n: one
+    canonical form per orbit."""
+    generators = [index_permutation(g, candidates) for g in symmetric_generators(range(n), n)]
+    orbits = sweep_orbits(labeled, generators, complete=True)
+    classes = {canonical_form(Complex.from_masks(candidates[i] for i in vertices_of(rep))) for rep, _ in orbits}
+    return tuple(sorted(classes))
+
+
 def enumerate_complexes(n: int, filter_=None, candidate_order: str = "size-desc") -> EnumerationReport:
     """All isomorphism classes of simplicial complexes on exactly n vertices
     satisfying the filter.
@@ -65,6 +77,11 @@ def enumerate_complexes(n: int, filter_=None, candidate_order: str = "size-desc"
     ("size-desc" default, "size-asc" for the order-invariance check).
     Unfiltered runs are capped at n <= 5 and filtered runs at n <= 6; the
     antichain space is Dedekind-scale beyond that.
+
+    The filter must not depend on the labels: it has to accept every
+    relabeling of a complex it accepts.  A label-dependent filter makes the
+    orbit sweep's closure check raise `AssertionError` instead of returning a
+    class list that depends on the labels.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -84,25 +101,16 @@ def enumerate_complexes(n: int, filter_=None, candidate_order: str = "size-desc"
     for i in range(len(candidates) - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | candidates[i]
 
-    classes: dict[tuple[int, ...], None] = {}
-    labeled = 0
+    labeled: set[int] = set()
     nodes = 0
     chosen: list[int] = []
     union = 0
 
-    def record():
-        nonlocal labeled
-        complex_ = Complex.from_masks(chosen)
-        if filter_ is not None and not filter_(complex_):
-            return
-        labeled += 1
-        classes.setdefault(canonical_form(complex_))
-
-    def walk(start_index: int):
+    def walk(start_index: int, bits: int):
         nonlocal union, nodes
         nodes += 1
-        if chosen and union == full:
-            record()
+        if chosen and union == full and (filter_ is None or filter_(Complex.from_masks(chosen))):
+            labeled.add(bits)
         for i in range(start_index, len(candidates)):
             if union | suffix_union[i] != full:
                 return  # coverage is impossible from here on
@@ -112,15 +120,15 @@ def enumerate_complexes(n: int, filter_=None, candidate_order: str = "size-desc"
             chosen.append(m)
             old_union = union
             union |= m
-            walk(i + 1)
+            walk(i + 1, bits | 1 << i)
             chosen.pop()
             union = old_union
 
-    walk(0)
+    walk(0, 0)
     return EnumerationReport(
         parameters={"n": n, "filtered": filter_ is not None, "order": candidate_order},
-        classes=tuple(sorted(classes)),
-        labeled_count=labeled,
+        classes=_orbit_classes(labeled, candidates, n),
+        labeled_count=len(labeled),
         complete=True,
         nodes=nodes,
         wall_time=time.perf_counter() - start,
@@ -163,9 +171,7 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
 
     counts = [0] * len(ridge_list)
     covered = [0] * n
-    chosen: list[int] = []
-    classes: dict[tuple[int, ...], None] = {}
-    labeled = 0
+    labeled: set[int] = set()
     nodes = 0
 
     def finality_ok(i: int) -> bool:
@@ -177,16 +183,15 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
                 return False
         return True
 
-    def walk(i: int):
-        nonlocal labeled, nodes
+    def walk(i: int, bits: int):
+        nonlocal nodes
         nodes += 1
         if i == len(candidates):
-            if chosen:
-                complex_ = Complex.from_masks(chosen)
+            if bits:
+                complex_ = Complex.from_masks(candidates[j] for j in vertices_of(bits))
                 # distrust the generator: re-verify the outcome
                 if complex_.classify_pseudomanifold() in (WEAK_PM, PSEUDOMANIFOLD):
-                    labeled += 1
-                    classes.setdefault(canonical_form(complex_))
+                    labeled.add(bits)
             return
         c = candidates[i]
         ridges = cand_ridges[i]
@@ -195,22 +200,20 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
                 counts[r] += 1
             for v in vertices_of(c):
                 covered[v] += 1
-            chosen.append(c)
             if finality_ok(i):
-                walk(i + 1)
-            chosen.pop()
+                walk(i + 1, bits | 1 << i)
             for r in ridges:
                 counts[r] -= 1
             for v in vertices_of(c):
                 covered[v] -= 1
         if finality_ok(i):
-            walk(i + 1)
+            walk(i + 1, bits)
 
-    walk(0)
+    walk(0, 0)
     return EnumerationReport(
         parameters={"n": n, "d": d, "kind": "weak_pseudomanifolds"},
-        classes=tuple(sorted(classes)),
-        labeled_count=labeled,
+        classes=_orbit_classes(labeled, candidates, n),
+        labeled_count=len(labeled),
         complete=True,
         nodes=nodes,
         wall_time=time.perf_counter() - start,

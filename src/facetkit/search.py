@@ -10,8 +10,13 @@ oracle for small instances.
 
 Isomorph rejection: without loss of generality the facets {0..d} and
 {0..d-1, d+1} are present (any closed weak pseudomanifold has an adjacent
-facet pair, and relabeling moves it there), and survivors are deduplicated
-by canonical form.
+facet pair, and relabeling moves it there).  Survivors are deduplicated by an
+orbit sweep under the group the run leaves free: H, the stabilizer of that
+facet pair (Sym{0..d-1} x Sym{d, d+1} x Sym{d+2..n-1}, of order
+2 * d! * (n-d-2)!), for the prefixed search, and S_n otherwise.  One
+representative per orbit is canonicalized, and a complete run's labeled set
+must be closed under the group, which catches a lost solution whenever
+another member of its orbit was found.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .canonical import canonical_form
-from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex
+from .bits import vertices_of
+from .canonical import canonical_form, index_permutation, sweep_orbits, symmetric_generators
+from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex, all_simplices
 from .complementarity import is_complementary
 from .enumeration import EnumerationReport
 
@@ -281,10 +287,27 @@ def _run_dfs(
             return solutions, nodes, True
 
 
-def _dedupe(solutions: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    classes: dict[tuple[int, ...], None] = {}
-    for facets in solutions:
-        classes.setdefault(canonical_form(Complex.from_masks(facets)))
+def _prefix_stabilizer(n: int, d: int) -> list[tuple[int, ...]]:
+    """Generators of H, the vertex permutations that keep the prefix facets
+    {0..d} and {0..d-1, d+1} together."""
+    return (
+        symmetric_generators(range(d), n)
+        + symmetric_generators((d, d + 1), n)
+        + symmetric_generators(range(d + 2, n), n)
+    )
+
+
+def _dedupe(
+    solutions: list[tuple[int, ...]], n: int, d: int, group: list[tuple[int, ...]], *, complete: bool
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical classes of the labeled solutions: one canonical form per
+    orbit of the group generated by the vertex permutations `group`."""
+    candidates = all_simplices(range(n), d + 1)
+    index = {m: i for i, m in enumerate(candidates)}
+    labeled = {sum(1 << index[m] for m in facets) for facets in solutions}
+    generators = [index_permutation(g, candidates) for g in group]
+    orbits = sweep_orbits(labeled, generators, complete=complete)
+    classes = {canonical_form(Complex.from_masks(candidates[i] for i in vertices_of(rep))) for rep, _ in orbits}
     return tuple(sorted(classes))
 
 
@@ -313,7 +336,10 @@ def search_complementary(
             "the raw decision space has 1254 complementary pairs"
         )
     start = time.perf_counter()
-    prefix = _symmetry_prefix(n, d) if symmetry_breaking else []
+    if symmetry_breaking:
+        prefix, group = _symmetry_prefix(n, d), _prefix_stabilizer(n, d)
+    else:
+        prefix, group = [], symmetric_generators(range(n), n)
     solutions, nodes, complete = _run_dfs(n, d, prefix=prefix, node_budget=node_budget)
     return EnumerationReport(
         parameters={
@@ -323,7 +349,7 @@ def search_complementary(
             "symmetry_breaking": symmetry_breaking,
             "node_budget": node_budget,
         },
-        classes=_dedupe(solutions),
+        classes=_dedupe(solutions, n, d, group, complete=complete),
         labeled_count=len(solutions),
         complete=complete,
         nodes=nodes,
@@ -352,7 +378,7 @@ def brute_force_complementary(n: int, d: int) -> EnumerationReport:
             solutions.append(verified)
     return EnumerationReport(
         parameters={"n": n, "d": d, "kind": "complementary_brute_force"},
-        classes=_dedupe(solutions),
+        classes=_dedupe(solutions, n, d, symmetric_generators(range(n), n), complete=True),
         labeled_count=len(solutions),
         complete=True,
         nodes=1 << len(pairs),

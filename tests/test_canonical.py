@@ -168,11 +168,32 @@ def test_pruned_search_matches_oracle_on_symmetric_sphere():
     assert_matches_oracle(standard_sphere(6))
 
 
-def test_all_labeled_9_4_solutions_share_the_oracle_form():
-    solutions, nodes, complete = search._run_dfs(9, 4, prefix=search._symmetry_prefix(9, 4), node_budget=None)
+def test_all_labeled_9_4_solutions_share_the_oracle_form(monkeypatch):
+    prefix = search._symmetry_prefix(9, 4)
+    solutions, nodes, complete = search._run_dfs(9, 4, prefix=prefix, node_budget=None)
     assert complete and nodes == 1102 and len(solutions) == 480
     expected = oracle_canonical_search(Complex.from_masks(solutions[0]))[0]
-    assert {canonical_form(Complex.from_masks(facets)) for facets in solutions} == {expected}
+    # the per-object dedupe, kept as the oracle of the orbit sweep
+    forms = [canonical_form(Complex.from_masks(facets)) for facets in solutions]
+    assert set(forms) == {expected}
+
+    calls = []
+    monkeypatch.setattr(search, "canonical_form", lambda k: calls.append(k) or canonical_form(k))
+    group = search._prefix_stabilizer(9, 4)
+    assert search._dedupe(solutions, 9, 4, group, complete=True) == (expected,)
+    assert len(calls) == 3  # one canonical form per orbit of the prefix stabilizer
+
+    # a lost solution breaks closure; an incomplete run only skips the gap
+    dropped = solutions[1:]
+    with pytest.raises(AssertionError, match="not closed"):
+        search._dedupe(dropped, 9, 4, group, complete=True)
+    assert search._dedupe(dropped, 9, 4, group, complete=False) == tuple(sorted(set(forms[1:])))
+
+    # a relabeled copy without the prefix facets is an invented solution
+    shifted = relabel(Complex.from_masks(solutions[0]), {v: (v + 1) % 9 for v in range(9)})
+    assert not {mask for mask, _ in prefix} <= set(shifted.facet_masks)
+    with pytest.raises(AssertionError, match="not closed"):
+        search._dedupe(solutions + [shifted.facet_masks], 9, 4, group, complete=True)
 
 
 def test_twelve_vertex_sphere_finishes():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from facetkit import enumerate_complexes
 from facetkit.cli import main
 from facetkit.lemmas import FAST, REGISTRY, LemmaCheck, run_check
 
@@ -66,6 +67,10 @@ def test_enumerate_command(capsys):
     assert main(["enumerate", "--vertices", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["class_count"] == 5
+    # --dim is a filter that does not depend on the labels
+    assert main(["enumerate", "--vertices", "4", "--dim", "1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["class_count"] == sum(k.dim == 1 for k in enumerate_complexes(4).class_complexes())
     assert main(["enumerate", "--vertices", "5", "--dim", "2", "--weak-pm", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["class_count"] == 1
