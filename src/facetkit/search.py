@@ -5,8 +5,10 @@ and complementarity are preset, the rest are decided by a DFS with unit
 propagation (downward closure, complement exclusion, exact-two cofacet
 counts on ridges).  Every completed assignment is re-verified from scratch
 before being reported, so propagation bugs can cost only time, never wrong
-answers; a raw brute force over all pair assignments is provided as an
-oracle for small instances.
+answers; the re-verification holds the face list as one 2^n-bit integer
+(`lattice`) and answers each check with about n big-integer operations.  A
+raw brute force over all pair assignments is provided as an oracle for
+small instances.
 
 Isomorph rejection: without loss of generality the facets {0..d} and
 {0..d-1, d+1} are present (any closed weak pseudomanifold has an adjacent
@@ -23,15 +25,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 
+from . import lattice
 from .bits import vertices_of
 from .canonical import canonical_form, index_permutation, sweep_orbits, symmetric_generators
-from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex, all_simplices
-from .complementarity import is_complementary
+from .complexes import Complex, all_simplices
+from .complementarity import is_complementary  # noqa: F401  unused here; bench/run.py traces this name
 from .enumeration import EnumerationReport
 
 UNKNOWN, FACE, NONFACE = 0, 1, 2
 _BRANCH_VALUES = (FACE, NONFACE)
+_FACE_FLAGS = bytes.maketrans(bytes((FACE, NONFACE)), b"\1\0")
 
 
 class PairLedger:
@@ -212,7 +217,7 @@ class PairLedger:
         return None
 
     def decided_faces(self) -> list[int]:
-        return [m for m in range(1, self.full + 1) if self.status[m] == FACE]
+        return list(compress(range(1, self.full + 1), self.status[1:].translate(_FACE_FLAGS)))
 
 
 def _verify_candidate(faces: list[int], n: int, d: int) -> tuple[int, ...] | None:
@@ -220,18 +225,23 @@ def _verify_candidate(faces: list[int], n: int, d: int) -> tuple[int, ...] | Non
     an n-vertex d-dimensional complementary closed weak pseudomanifold."""
     if not faces:
         return None
-    complex_ = Complex.from_masks(faces)
-    if complex_.vertex_mask != (1 << n) - 1:
+    try:
+        face_set = lattice.face_set(faces, n)
+    except IndexError:
+        return None  # a label outside 0..n-1
+    if lattice.of_size(1, n) & ~face_set:
+        return None  # a vertex is missing
+    if not lattice.is_closed(face_set, n):
         return None
-    if complex_.dim != d:
+    tops = lattice.facets(face_set, n)
+    if tops & ~lattice.of_size(d + 1, n):
+        return None  # not pure of dimension d
+    once, twice, thrice = lattice.ridge_multiplicity(tops, n)
+    if once != twice or thrice:
+        return None  # a ridge not in exactly two facets
+    if not lattice.is_complementary(face_set, n):
         return None
-    if complex_.face_masks() != frozenset(faces):
-        return None  # decided face set was not downward closed
-    if complex_.classify_pseudomanifold() not in (WEAK_PM, PSEUDOMANIFOLD):
-        return None
-    if not is_complementary(complex_):
-        return None
-    return complex_.facet_masks
+    return lattice.members(tops, n)
 
 
 @dataclass
