@@ -23,7 +23,8 @@ Deduplicating many labeled objects goes through `sweep_orbits`: the labeled
 objects of one class are relabelings of each other, so callers canonicalize
 one representative per orbit of the run's symmetry group instead of every
 object, and on a complete run the sweep checks that the labeled set is closed
-under that group.
+under that group.  A labeled object is a `lattice` set: bit m is set iff the
+vertex set with mask m belongs to it.
 """
 
 from __future__ import annotations
@@ -227,35 +228,39 @@ def symmetric_generators(points, n: int) -> list[tuple[int, ...]]:
     return [tuple(swap)] if len(points) == 2 else [tuple(swap), tuple(cycle)]
 
 
-def index_permutation(perm, candidates: list[int]) -> tuple[int, ...]:
-    """The permutation of candidate indices that the vertex permutation
-    `perm` induces; `candidates` must be closed under it."""
-    index = {m: i for i, m in enumerate(candidates)}
-    return tuple(index[sum(1 << perm[v] for v in vertices_of(m))] for m in candidates)
+def _set_images(perm, n: int) -> list[int]:
+    """Entry m is the one-bit `lattice` set of the image of vertex set m under
+    the vertex permutation `perm`."""
+    image = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+    return [1 << m for m in image]
 
 
-def sweep_orbits(labeled: set[int], generators, *, complete: bool) -> list[tuple[int, int]]:
-    """Split a set of labeled objects into orbits of the group that the index
-    permutations `generators` generate; one `(representative, orbit size)`
-    pair per orbit.
+def sweep_orbits(labeled: set[int], group, n: int, *, complete: bool) -> list[tuple[int, int]]:
+    """Split a set of labeled objects on vertices 0..n-1 into orbits of the
+    group that the vertex permutations `group` generate; one
+    `(representative, orbit size)` pair per orbit.
 
-    Each object is an int whose set bits index the run's candidate list.  A
-    complete run's labeled set must be closed under the group: an image that
-    is not in the set means a solution was lost or invented, and raises
-    `AssertionError`.  On an incomplete run such images are skipped, so one
-    true orbit may come back as several pieces; their canonical forms agree.
+    Each object is a `lattice` set: bit m is set iff vertex set m belongs to
+    it.  A complete run's labeled set must be closed under the group: an
+    image that is not in the set means a solution was lost or invented, and
+    raises `AssertionError`.  On an incomplete run such images are skipped, so
+    one true orbit may come back as several pieces; their canonical forms
+    agree.
     """
-    tables = [[1 << j for j in g] for g in generators]
+    tables = [_set_images(g, n) for g in group] if labeled else []
     unvisited = set(labeled)
     orbits = []
     while unvisited:
         orbit = [unvisited.pop()]
         for x in orbit:  # breadth-first: the list grows while it is walked
-            bits = vertices_of(x)
+            masks = vertices_of(x)
             for table in tables:
                 y = 0
-                for i in bits:
-                    y |= table[i]
+                for m in masks:
+                    y |= table[m]
                 if y in unvisited:
                     unvisited.remove(y)
                     orbit.append(y)

@@ -106,12 +106,9 @@ def free_faces(complex_: Complex) -> list[tuple[int, int]]:
 
 
 def collapse_step(complex_: Complex, tau, sigma) -> Complex:
-    """Remove a free pair; the result's face set is the old one minus {tau, sigma}."""
-    tmask, smask = mask_from(tau), mask_from(sigma)
-    faces = complex_.face_masks()
-    if (tmask, smask) not in _free_pairs(faces):
-        raise ValueError("not a free pair: the first face must have the second as its unique proper superset")
-    return Complex.from_masks(faces - {tmask, smask})
+    """Remove a free pair; the result's face set is the old one minus {tau, sigma}.
+    One step of `replay_trace`, so an illegal pair raises its `ValueError`."""
+    return replay_trace(complex_, [(tau, sigma)])
 
 
 def is_collapsible(complex_: Complex) -> CollapseTrace | None:

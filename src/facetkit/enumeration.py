@@ -1,11 +1,11 @@
 """Isomorph-free exhaustive generation of small complexes.
 
 Labeled objects are generated by orderly extension of facet antichains, each
-held as one int whose set bits index the run's candidate facet list.  They
-are deduplicated by an orbit sweep under S_n (`canonical.sweep_orbits`): one
-exact canonical form per orbit, not per labeled object, and the labeled set
-must be closed under relabeling, or the sweep raises.  Reports carry both the
-canonical class count and the labeled count, which are never conflated.
+held as one `lattice` set of its facets (bit m set iff mask m is a facet).
+They are deduplicated by an orbit sweep under S_n (`canonical.sweep_orbits`):
+one exact canonical form per orbit, not per labeled object, and the labeled
+set must be closed under relabeling, or the sweep raises.  Reports carry both
+the canonical class count and the labeled count, which are never conflated.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bits import iter_bits, vertices_of
-from .canonical import canonical_form, index_permutation, sweep_orbits, symmetric_generators
+from .canonical import canonical_form, sweep_orbits, symmetric_generators
 from .complexes import PSEUDOMANIFOLD, WEAK_PM, Complex, all_simplices
 from .collapse import is_collapsible
 from .homology import is_acyclic
@@ -60,12 +60,11 @@ class EnumerationReport:
             (directory / f"class_{i:03d}.cplx").write_text(dump_facet_text(complex_, head))
 
 
-def _orbit_classes(labeled: set[int], candidates: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical classes of a labeled set that is closed under S_n: one
+def _orbit_classes(labeled: set[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical classes of a set of facet sets that is closed under S_n: one
     canonical form per orbit."""
-    generators = [index_permutation(g, candidates) for g in symmetric_generators(range(n), n)]
-    orbits = sweep_orbits(labeled, generators, complete=True)
-    classes = {canonical_form(Complex.from_masks(candidates[i] for i in vertices_of(rep))) for rep, _ in orbits}
+    orbits = sweep_orbits(labeled, symmetric_generators(range(n), n), n, complete=True)
+    classes = {canonical_form(Complex.from_masks(vertices_of(rep))) for rep, _ in orbits}
     return tuple(sorted(classes))
 
 
@@ -120,14 +119,14 @@ def enumerate_complexes(n: int, filter_=None, candidate_order: str = "size-desc"
             chosen.append(m)
             old_union = union
             union |= m
-            walk(i + 1, bits | 1 << i)
+            walk(i + 1, bits | 1 << m)
             chosen.pop()
             union = old_union
 
     walk(0, 0)
     return EnumerationReport(
         parameters={"n": n, "filtered": filter_ is not None, "order": candidate_order},
-        classes=_orbit_classes(labeled, candidates, n),
+        classes=_orbit_classes(labeled, n),
         labeled_count=len(labeled),
         complete=True,
         nodes=nodes,
@@ -188,7 +187,7 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
         nodes += 1
         if i == len(candidates):
             if bits:
-                complex_ = Complex.from_masks(candidates[j] for j in vertices_of(bits))
+                complex_ = Complex.from_masks(vertices_of(bits))
                 # distrust the generator: re-verify the outcome
                 if complex_.classify_pseudomanifold() in (WEAK_PM, PSEUDOMANIFOLD):
                     labeled.add(bits)
@@ -201,7 +200,7 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
             for v in vertices_of(c):
                 covered[v] += 1
             if finality_ok(i):
-                walk(i + 1, bits | 1 << i)
+                walk(i + 1, bits | 1 << c)
             for r in ridges:
                 counts[r] -= 1
             for v in vertices_of(c):
@@ -212,7 +211,7 @@ def enumerate_weak_pseudomanifolds(n: int, d: int) -> EnumerationReport:
     walk(0, 0)
     return EnumerationReport(
         parameters={"n": n, "d": d, "kind": "weak_pseudomanifolds"},
-        classes=_orbit_classes(labeled, candidates, n),
+        classes=_orbit_classes(labeled, n),
         labeled_count=len(labeled),
         complete=True,
         nodes=nodes,

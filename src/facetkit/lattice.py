@@ -10,13 +10,11 @@ set reverses the bit order.  Face sets never hold bit 0, the empty set.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from typing import Collection
 
 MAX_VERTICES = 16  # 8 KiB per face set
 
-_FLAGS_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FLAG_DIGITS = bytes(b"01"[byte == 1] for byte in range(256))  # 1 -> "1", any other byte -> "0"
 
 
 @lru_cache(maxsize=None)
@@ -43,12 +41,12 @@ def face_set(masks: Collection[int], n: int) -> int:
     flags = bytearray(1 << n)
     for m in masks:
         flags[m] = 1
-    return int(flags.translate(_FLAGS_TO_DIGITS)[::-1], 2)
+    return from_flags(flags)
 
 
-def members(x: int, n: int) -> tuple[int, ...]:
-    """The masks in x, ascending."""
-    return tuple(compress(range(1 << n), f"{x:0{1 << n}b}"[::-1].encode().translate(_DIGITS_TO_FLAGS)))
+def from_flags(flags: bytes) -> int:
+    """The set of the m with flags[m] == 1; every other byte value means absent."""
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
 
 
 def of_size(s: int, n: int) -> int:

@@ -5,10 +5,11 @@ and complementarity are preset, the rest are decided by a DFS with unit
 propagation (downward closure, complement exclusion, exact-two cofacet
 counts on ridges).  Every completed assignment is re-verified from scratch
 before being reported, so propagation bugs can cost only time, never wrong
-answers; the re-verification holds the face list as one 2^n-bit integer
-(`lattice`) and answers each check with about n big-integer operations.  A
-raw brute force over all pair assignments is provided as an oracle for
-small instances.
+answers.  The ledger hands over its faces as one 2^n-bit `lattice` set, the
+re-verification answers each check with about n big-integer operations, and
+the facet set it returns is the labeled solution, in the same format from
+leaf to orbit sweep.  A raw brute force over all pair assignments is
+provided as an oracle for small instances.
 
 Isomorph rejection: without loss of generality the facets {0..d} and
 {0..d-1, d+1} are present (any closed weak pseudomanifold has an adjacent
@@ -25,18 +26,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 
 from . import lattice
 from .bits import vertices_of
-from .canonical import canonical_form, index_permutation, sweep_orbits, symmetric_generators
-from .complexes import Complex, all_simplices
+from .canonical import canonical_form, sweep_orbits, symmetric_generators
+from .complexes import Complex
 from .complementarity import is_complementary  # noqa: F401  unused here; bench/run.py traces this name
 from .enumeration import EnumerationReport
 
-UNKNOWN, FACE, NONFACE = 0, 1, 2
+UNKNOWN, FACE, NONFACE = 0, 1, 2  # FACE is 1: lattice.from_flags reads the status bytes as they are
 _BRANCH_VALUES = (FACE, NONFACE)
-_FACE_FLAGS = bytes.maketrans(bytes((FACE, NONFACE)), b"\1\0")
 
 
 class PairLedger:
@@ -216,19 +215,16 @@ class PairLedger:
                 return b if self.size[b] == self.d + 1 else a
         return None
 
-    def decided_faces(self) -> list[int]:
-        return list(compress(range(1, self.full + 1), self.status[1:].translate(_FACE_FLAGS)))
+    def face_set(self) -> int:
+        """The decided faces, as one lattice face set."""
+        return lattice.from_flags(self.status)
 
 
-def _verify_candidate(faces: list[int], n: int, d: int) -> tuple[int, ...] | None:
-    """Re-derive everything from the face list; reject anything that is not
-    an n-vertex d-dimensional complementary closed weak pseudomanifold."""
-    if not faces:
-        return None
-    try:
-        face_set = lattice.face_set(faces, n)
-    except IndexError:
-        return None  # a label outside 0..n-1
+def _verify_candidate(face_set: int, n: int, d: int) -> int | None:
+    """Re-derive everything from the face set; the facet set if it is an
+    n-vertex d-dimensional complementary closed weak pseudomanifold, else None."""
+    if face_set & 1 or face_set >> (1 << n):
+        return None  # the empty set, or a label outside 0..n-1
     if lattice.of_size(1, n) & ~face_set:
         return None  # a vertex is missing
     if not lattice.is_closed(face_set, n):
@@ -241,7 +237,7 @@ def _verify_candidate(faces: list[int], n: int, d: int) -> tuple[int, ...] | Non
         return None  # a ridge not in exactly two facets
     if not lattice.is_complementary(face_set, n):
         return None
-    return lattice.members(tops, n)
+    return tops
 
 
 @dataclass
@@ -263,18 +259,18 @@ def _run_dfs(
     *,
     prefix: list[tuple[int, int]],
     node_budget: int | None,
-) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Returns (labeled solutions as facet tuples, nodes, complete)."""
+) -> tuple[list[int], int, bool]:
+    """Returns (labeled solutions as facet sets, nodes, complete)."""
     ledger = PairLedger(n, d)
     if not all(ledger.assign(mask, value) for mask, value in prefix):
         return [], 0, True
-    solutions: list[tuple[int, ...]] = []
+    solutions: list[int] = []
     nodes = 0
     stack: list[_Frame] = []
     while True:
         target = ledger.select_branch()
         if target is None:
-            verified = _verify_candidate(ledger.decided_faces(), n, d)
+            verified = _verify_candidate(ledger.face_set(), n, d)
             if verified is not None:
                 solutions.append(verified)
         else:
@@ -308,16 +304,12 @@ def _prefix_stabilizer(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _dedupe(
-    solutions: list[tuple[int, ...]], n: int, d: int, group: list[tuple[int, ...]], *, complete: bool
+    solutions: list[int], n: int, group: list[tuple[int, ...]], *, complete: bool
 ) -> tuple[tuple[int, ...], ...]:
-    """Canonical classes of the labeled solutions: one canonical form per
+    """Canonical classes of the labeled facet sets: one canonical form per
     orbit of the group generated by the vertex permutations `group`."""
-    candidates = all_simplices(range(n), d + 1)
-    index = {m: i for i, m in enumerate(candidates)}
-    labeled = {sum(1 << index[m] for m in facets) for facets in solutions}
-    generators = [index_permutation(g, candidates) for g in group]
-    orbits = sweep_orbits(labeled, generators, complete=complete)
-    classes = {canonical_form(Complex.from_masks(candidates[i] for i in vertices_of(rep))) for rep, _ in orbits}
+    orbits = sweep_orbits(set(solutions), group, n, complete=complete)
+    classes = {canonical_form(Complex.from_masks(vertices_of(rep))) for rep, _ in orbits}
     return tuple(sorted(classes))
 
 
@@ -359,7 +351,7 @@ def search_complementary(
             "symmetry_breaking": symmetry_breaking,
             "node_budget": node_budget,
         },
-        classes=_dedupe(solutions, n, d, group, complete=complete),
+        classes=_dedupe(solutions, n, group, complete=complete),
         labeled_count=len(solutions),
         complete=complete,
         nodes=nodes,
@@ -383,12 +375,12 @@ def brute_force_complementary(n: int, d: int) -> EnumerationReport:
         faces = list(forced)
         for i, (a, b) in enumerate(pairs):
             faces.append(a if bits >> i & 1 else b)
-        verified = _verify_candidate(faces, n, d)
+        verified = _verify_candidate(lattice.face_set(faces, n), n, d)
         if verified is not None:
             solutions.append(verified)
     return EnumerationReport(
         parameters={"n": n, "d": d, "kind": "complementary_brute_force"},
-        classes=_dedupe(solutions, n, d, symmetric_generators(range(n), n), complete=True),
+        classes=_dedupe(solutions, n, symmetric_generators(range(n), n), complete=True),
         labeled_count=len(solutions),
         complete=True,
         nodes=1 << len(pairs),

@@ -19,12 +19,14 @@ from facetkit import (
     enumerate_complexes,
     is_isomorphic,
     kuehnel_complex,
+    lattice,
     projective_plane_6,
     relabel,
     search,
     standard_sphere,
     verify_isomorphism,
 )
+from facetkit.bits import vertices_of
 from facetkit.canonical import _canonical_search, _initial_partition, _refine
 
 # -- oracle: the full backtracking walk, with no automorphism pruning ----------
@@ -172,28 +174,29 @@ def test_all_labeled_9_4_solutions_share_the_oracle_form(monkeypatch):
     prefix = search._symmetry_prefix(9, 4)
     solutions, nodes, complete = search._run_dfs(9, 4, prefix=prefix, node_budget=None)
     assert complete and nodes == 1102 and len(solutions) == 480
-    expected = oracle_canonical_search(Complex.from_masks(solutions[0]))[0]
+    complexes = [Complex.from_masks(vertices_of(facets)) for facets in solutions]
+    expected = oracle_canonical_search(complexes[0])[0]
     # the per-object dedupe, kept as the oracle of the orbit sweep
-    forms = [canonical_form(Complex.from_masks(facets)) for facets in solutions]
+    forms = [canonical_form(k) for k in complexes]
     assert set(forms) == {expected}
 
     calls = []
     monkeypatch.setattr(search, "canonical_form", lambda k: calls.append(k) or canonical_form(k))
     group = search._prefix_stabilizer(9, 4)
-    assert search._dedupe(solutions, 9, 4, group, complete=True) == (expected,)
+    assert search._dedupe(solutions, 9, group, complete=True) == (expected,)
     assert len(calls) == 3  # one canonical form per orbit of the prefix stabilizer
 
     # a lost solution breaks closure; an incomplete run only skips the gap
     dropped = solutions[1:]
     with pytest.raises(AssertionError, match="not closed"):
-        search._dedupe(dropped, 9, 4, group, complete=True)
-    assert search._dedupe(dropped, 9, 4, group, complete=False) == tuple(sorted(set(forms[1:])))
+        search._dedupe(dropped, 9, group, complete=True)
+    assert search._dedupe(dropped, 9, group, complete=False) == tuple(sorted(set(forms[1:])))
 
     # a relabeled copy without the prefix facets is an invented solution
-    shifted = relabel(Complex.from_masks(solutions[0]), {v: (v + 1) % 9 for v in range(9)})
+    shifted = relabel(complexes[0], {v: (v + 1) % 9 for v in range(9)})
     assert not {mask for mask, _ in prefix} <= set(shifted.facet_masks)
     with pytest.raises(AssertionError, match="not closed"):
-        search._dedupe(solutions + [shifted.facet_masks], 9, 4, group, complete=True)
+        search._dedupe(solutions + [lattice.face_set(shifted.facet_masks, 9)], 9, group, complete=True)
 
 
 def test_twelve_vertex_sphere_finishes():

@@ -1,8 +1,9 @@
 """The face-set bitset against the `Complex`-based leaf verification it
 replaced.
 
-`oracle_verify_candidate` is the former body of `search._verify_candidate`.
-Both must return the same value on every leaf the DFS reaches at (6,2),
+`oracle_verify_candidate` is the former body of `search._verify_candidate`,
+which took a face list where `_verify_candidate` takes a face set.  Both must
+return the same facets on every leaf the DFS reaches at (6,2),
 (9,4), unprefixed (6,2) and (7,3) and a budgeted (10,5), on every assignment
 the brute force tries, and on one hand-made reject per check.  No face list
 on at most 4 vertices, and no complementary one on 5, fails the vertex,
@@ -31,6 +32,7 @@ from facetkit import (
     search,
     standard_sphere,
 )
+from facetkit.bits import vertices_of
 from facetkit.search import FACE
 
 # -- oracle: the former leaf verification, on a rebuilt Complex ----------------
@@ -54,12 +56,12 @@ def oracle_verify_candidate(faces, n, d):
 
 
 def record_leaves(monkeypatch, run):
-    """The face lists `search._verify_candidate` sees during `run()`."""
+    """The face sets `search._verify_candidate` sees during `run()`."""
     leaves = []
     real = search._verify_candidate
 
     def spy(faces, n, d):
-        leaves.append((list(faces), n, d))
+        leaves.append((faces, n, d))
         return real(faces, n, d)
 
     monkeypatch.setattr(search, "_verify_candidate", spy)
@@ -68,9 +70,16 @@ def record_leaves(monkeypatch, run):
     return leaves
 
 
+def verify(faces, n, d):
+    """`search._verify_candidate` on a face list, its facets as a tuple."""
+    tops = search._verify_candidate(lattice.face_set(faces, n), n, d)
+    return None if tops is None else vertices_of(tops)
+
+
 def assert_same_verdicts(leaves):
     for faces, n, d in leaves:
-        assert search._verify_candidate(faces, n, d) == oracle_verify_candidate(faces, n, d)
+        tops = search._verify_candidate(faces, n, d)
+        assert (None if tops is None else vertices_of(tops)) == oracle_verify_candidate(vertices_of(faces), n, d)
 
 
 # -- every leaf and every brute-force assignment ---------------------------------
@@ -109,7 +118,7 @@ def masks_of(*simplices):
 
 
 def test_rp2_is_accepted():
-    assert search._verify_candidate(RP2, 6, 2) == projective_plane_6().facet_masks
+    assert verify(RP2, 6, 2) == projective_plane_6().facet_masks
     assert oracle_verify_candidate(RP2, 6, 2) == projective_plane_6().facet_masks
 
 
@@ -149,7 +158,7 @@ K5_EDGES = masks_of(*[(a, b) for a in range(5) for b in range(a + 1, 5)])
 )
 def test_each_check_rejects(faces, n, d, failed):
     assert failed_checks(faces, n, d) == failed
-    assert search._verify_candidate(faces, n, d) is None
+    assert verify(faces, n, d) is None
     assert oracle_verify_candidate(faces, n, d) is None
 
 
@@ -157,19 +166,27 @@ def test_each_check_rejects(faces, n, d, failed):
 
 
 def test_label_outside_range_is_rejected():
-    assert search._verify_candidate(RP2 + [1 << 6], 6, 2) is None
+    with pytest.raises(IndexError):
+        lattice.face_set(RP2 + [1 << 6], 6)
     assert oracle_verify_candidate(RP2 + [1 << 6], 6, 2) is None
+    rp2 = lattice.face_set(RP2, 6)
+    assert search._verify_candidate(rp2, 6, 2) is not None
+    for label in (6, 7):  # bit 64 is the set {6}, bit 128 the set {7}
+        assert search._verify_candidate(rp2 | 1 << (1 << label), 6, 2) is None
 
 
 def test_empty_face_raises():
     with pytest.raises(ValueError):
-        search._verify_candidate(RP2 + [0], 6, 2)
+        lattice.face_set(RP2 + [0], 6)
     with pytest.raises(ValueError):
         oracle_verify_candidate(RP2 + [0], 6, 2)
+    assert search._verify_candidate(lattice.face_set(RP2, 6) | 1, 6, 2) is None
 
 
 def test_empty_list_is_rejected():
-    assert search._verify_candidate([], 6, 2) is None
+    assert lattice.face_set([], 6) == 0
+    assert search._verify_candidate(0, 6, 2) is None
+    assert oracle_verify_candidate([], 6, 2) is None
 
 
 def test_more_than_16_vertices_refused_before_any_table():
@@ -204,7 +221,7 @@ def test_facets_and_f_vector_match_complex(build):
     assert n <= 13
     f = lattice.face_set(complex_.face_masks(), n)
     assert lattice.is_closed(f, n)
-    assert lattice.members(lattice.facets(f, n), n) == complex_.facet_masks
+    assert vertices_of(lattice.facets(f, n)) == complex_.facet_masks
     counts = tuple((f & lattice.of_size(s, n)).bit_count() for s in range(1, complex_.dim + 2))
     assert counts == complex_.face_profile().counts
     assert lattice.is_complementary(f, n) == is_complementary(complex_)
@@ -216,27 +233,33 @@ def test_rev_complements_every_set():
         assert lattice.rev(1 << m, n) == 1 << ((1 << n) - 1 ^ m)
 
 
-# -- the ledger's decided faces --------------------------------------------------------
+# -- the ledger's face set ---------------------------------------------------------------
 
 
-def oracle_decided_faces(ledger):
-    return [m for m in range(1, ledger.full + 1) if ledger.status[m] == FACE]
+def oracle_ledger_faces(ledger):
+    return lattice.face_set([m for m in range(1, ledger.full + 1) if ledger.status[m] == FACE], ledger.n)
 
 
-def test_decided_faces_matches_comprehension(monkeypatch):
-    ledger = PairLedger(9, 4)
-    assert all(ledger.assign(mask, value) for mask, value in search._symmetry_prefix(9, 4))
-    assert ledger.decided_faces() == oracle_decided_faces(ledger)
+@pytest.mark.parametrize("n, d, budget, leaves", [(9, 4, 100, 48), (6, 2, None, 2)], ids=["9-4-budget100", "6-2"])
+def test_ledger_face_set_matches_comprehension(monkeypatch, n, d, budget, leaves):
+    """After every assignment (the prefix's and one per node) and at every leaf."""
+    seen = {"assign": 0, "leaf": 0}
+    real_assign, real_face_set = PairLedger.assign, PairLedger.face_set
 
-    seen = []
-    real = PairLedger.decided_faces
+    def assign(self, mask, value):
+        ok = real_assign(self, mask, value)
+        assert real_face_set(self) == oracle_ledger_faces(self)
+        seen["assign"] += 1
+        return ok
 
-    def checked(self):
-        got = real(self)
-        assert got == oracle_decided_faces(self)
-        seen.append(got)
+    def face_set(self):
+        got = real_face_set(self)
+        assert got == oracle_ledger_faces(self)
+        seen["leaf"] += 1
         return got
 
-    monkeypatch.setattr(PairLedger, "decided_faces", checked)
-    search._run_dfs(9, 4, prefix=search._symmetry_prefix(9, 4), node_budget=100)
-    assert seen
+    monkeypatch.setattr(PairLedger, "assign", assign)
+    monkeypatch.setattr(PairLedger, "face_set", face_set)
+    prefix = search._symmetry_prefix(n, d)
+    _, nodes, _ = search._run_dfs(n, d, prefix=prefix, node_budget=budget)
+    assert seen == {"assign": nodes + len(prefix), "leaf": leaves}

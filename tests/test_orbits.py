@@ -18,18 +18,14 @@ from facetkit import (
 )
 from facetkit import enumeration, search
 from facetkit.bits import vertices_of
-from facetkit.canonical import index_permutation, sweep_orbits, symmetric_generators
+from facetkit.canonical import sweep_orbits, symmetric_generators
 
 # -- oracle: the per-object dedupe the sweep replaced ----------------------------
 
 
-def oracle_dedupe(solutions):
-    """One canonical form per labeled object, then the distinct forms."""
-    return tuple(sorted({canonical_form(Complex.from_masks(facets)) for facets in solutions}))
-
-
-def decode(bits, candidates):
-    return [candidates[i] for i in vertices_of(bits)]
+def oracle_dedupe(labeled):
+    """One canonical form per labeled facet set, then the distinct forms."""
+    return tuple(sorted({canonical_form(Complex.from_masks(vertices_of(facets))) for facets in labeled}))
 
 
 def capture(monkeypatch, owner, name):
@@ -58,9 +54,8 @@ def count_canonical(monkeypatch, module):
     return calls
 
 
-def sn_orbits(labeled, candidates, n):
-    generators = [index_permutation(g, candidates) for g in symmetric_generators(range(n), n)]
-    return sweep_orbits(labeled, generators, complete=True)
+def sn_orbits(labeled, n):
+    return sweep_orbits(labeled, symmetric_generators(range(n), n), n, complete=True)
 
 
 # -- the generators --------------------------------------------------------------
@@ -100,18 +95,18 @@ def test_symmetric_generators_generate_sn(n):
 def test_enumerate_complexes_matches_oracle(monkeypatch, n, order):
     seen = capture(monkeypatch, enumeration, "_orbit_classes")
     report = enumerate_complexes(n, candidate_order=order)
-    (labeled, candidates, _), = seen
+    (labeled, _), = seen
     assert report.labeled_count == len(labeled)
-    assert report.classes == oracle_dedupe(decode(b, candidates) for b in labeled)
+    assert report.classes == oracle_dedupe(labeled)
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (7, 3), (6, 4), (7, 4)])
 def test_enumerate_weak_pseudomanifolds_matches_oracle(monkeypatch, n, d):
     seen = capture(monkeypatch, enumeration, "_orbit_classes")
     report = enumerate_weak_pseudomanifolds(n, d)
-    (labeled, candidates, _), = seen
+    (labeled, _), = seen
     assert report.labeled_count == len(labeled)
-    assert report.classes == oracle_dedupe(decode(b, candidates) for b in labeled)
+    assert report.classes == oracle_dedupe(labeled)
 
 
 PREFIXED_CELLS = [(4, 2, True), (5, 2, True), (6, 2, True), (7, 3, True), (8, 4, True)]
@@ -142,9 +137,9 @@ def test_incomplete_search_matches_oracle():
     solutions, nodes, complete = search._run_dfs(6, 2, prefix=[], node_budget=12)
     assert not complete and 0 < len(solutions) < 12
     group = symmetric_generators(range(6), 6)
-    assert search._dedupe(solutions, 6, 2, group, complete=False) == oracle_dedupe(solutions)
+    assert search._dedupe(solutions, 6, group, complete=False) == oracle_dedupe(solutions)
     with pytest.raises(AssertionError, match="not closed"):
-        search._dedupe(solutions, 6, 2, group, complete=True)
+        search._dedupe(solutions, 6, group, complete=True)
 
 
 # -- the closure check -----------------------------------------------------------
@@ -153,9 +148,9 @@ def test_incomplete_search_matches_oracle():
 def test_lost_enumerated_object_raises(monkeypatch):
     seen = capture(monkeypatch, enumeration, "_orbit_classes")
     enumerate_weak_pseudomanifolds(6, 2)
-    (labeled, candidates, n), = seen
+    (labeled, n), = seen
     with pytest.raises(AssertionError, match="not closed"):
-        sn_orbits(labeled - {min(labeled)}, candidates, n)
+        sn_orbits(labeled - {min(labeled)}, n)
 
 
 def test_label_dependent_filter_raises():
@@ -177,12 +172,12 @@ def brute_force_automorphism_count(facets, n):
 def test_orbit_times_automorphisms_is_n_factorial(monkeypatch, n, d):
     seen = capture(monkeypatch, enumeration, "_orbit_classes")
     report = enumerate_complexes(n) if d is None else enumerate_weak_pseudomanifolds(n, d)
-    (labeled, candidates, _), = seen
-    orbits = sn_orbits(labeled, candidates, n)
+    (labeled, _), = seen
+    orbits = sn_orbits(labeled, n)
     assert len(orbits) == report.class_count
     assert sum(size for _, size in orbits) == report.labeled_count
     for rep, size in orbits:
-        assert size * brute_force_automorphism_count(decode(rep, candidates), n) == factorial(n)
+        assert size * brute_force_automorphism_count(vertices_of(rep), n) == factorial(n)
     if (n, d) == (7, 4):
         assert sorted(size for _, size in orbits) == [21, 35]
 
